@@ -15,10 +15,11 @@ from repro.analysis.metrics import evaluate_schedule
 from repro.analysis.report import format_table
 from repro.core.heuristics import BaselinePolicy, TaskEnergyPolicy
 from repro.core.scheduler import ListScheduler
-from repro.experiments.workloads import workload
 from repro.floorplan.platform import platform_floorplan
+from repro.flow.spec import GraphSourceSpec, LibrarySpec
 from repro.library.bus import shared_bus_comm, zero_cost_comm
 from repro.library.presets import default_platform
+from repro.scenarios import build_workload
 
 from conftest import print_report
 
@@ -37,7 +38,9 @@ def comm_rows():
     platform = default_platform()
     plan = platform_floorplan(platform)
     for name in ("Bm1", "Bm2"):
-        graph, library = workload(name)
+        graph, library = build_workload(
+            GraphSourceSpec(kind="benchmark", name=name), LibrarySpec()
+        )
         for label, comm in COMM_CONFIGS:
             scheduler = ListScheduler(
                 graph, platform, library, comm=comm
@@ -97,7 +100,9 @@ def test_slow_bus_reduces_cross_pe_traffic(comm_rows):
 
 
 def test_benchmark_comm(benchmark, comm_rows):
-    graph, library = workload("Bm1")
+    graph, library = build_workload(
+        GraphSourceSpec(kind="benchmark", name="Bm1"), LibrarySpec()
+    )
     platform = default_platform()
     comm = shared_bus_comm()
 

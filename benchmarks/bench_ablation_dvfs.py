@@ -12,23 +12,21 @@ import pytest
 
 from repro.analysis.metrics import evaluate_schedule
 from repro.analysis.report import format_table
-from repro.core.heuristics import BaselinePolicy, TaskEnergyPolicy, ThermalPolicy
-from repro.cosynth.framework import platform_flow
-from repro.experiments.workloads import WORKLOAD_NAMES, workload
 from repro.extensions.dvfs import reclaim_slack
+from repro.flow import platform_spec, run_flow
+from repro.taskgraph.benchmarks import BENCHMARK_NAMES
 
 from conftest import print_report
 
-POLICIES = [BaselinePolicy(), TaskEnergyPolicy(), ThermalPolicy()]
+POLICIES = ["baseline", "heuristic3", "thermal"]
 
 
 @pytest.fixture(scope="module")
 def dvfs_rows():
     rows = []
-    for name in WORKLOAD_NAMES:
-        graph, library = workload(name)
+    for name in BENCHMARK_NAMES:
         for policy in POLICIES:
-            result = platform_flow(graph, library, policy)
+            result = run_flow(platform_spec(name, policy=policy))
             before = result.evaluation
             reclaimed = reclaim_slack(result.schedule)
             after = evaluate_schedule(
@@ -37,7 +35,7 @@ def dvfs_rows():
             rows.append(
                 {
                     "benchmark": name,
-                    "policy": policy.name,
+                    "policy": policy,
                     "avg_temp": round(before.avg_temperature, 2),
                     "avg_temp_dvfs": round(after.avg_temperature, 2),
                     "max_temp": round(before.max_temperature, 2),
@@ -74,7 +72,7 @@ def test_dvfs_saves_energy_where_slack_exists(dvfs_rows):
 def test_dvfs_narrows_policy_gap_but_thermal_still_wins_or_ties(dvfs_rows):
     """DVFS helps the baseline more (more slack), but thermal+DVFS stays
     at least competitive on every benchmark."""
-    for name in WORKLOAD_NAMES:
+    for name in BENCHMARK_NAMES:
         rows = {r["policy"]: r for r in dvfs_rows if r["benchmark"] == name}
         assert (
             rows["thermal"]["avg_temp_dvfs"]
@@ -83,6 +81,5 @@ def test_dvfs_narrows_policy_gap_but_thermal_still_wins_or_ties(dvfs_rows):
 
 
 def test_benchmark_dvfs(benchmark, dvfs_rows):
-    graph, library = workload("Bm1")
-    result = platform_flow(graph, library, BaselinePolicy())
+    result = run_flow(platform_spec("Bm1", policy="baseline"))
     benchmark(reclaim_slack, result.schedule)

@@ -14,9 +14,8 @@ import pytest
 
 from repro.analysis.reliability import reliability_report
 from repro.analysis.report import format_table
-from repro.core.heuristics import TaskEnergyPolicy, ThermalPolicy
-from repro.cosynth.framework import platform_flow
-from repro.experiments.workloads import WORKLOAD_NAMES, workload
+from repro.flow import platform_spec, run_flow
+from repro.taskgraph.benchmarks import BENCHMARK_NAMES
 from repro.thermal.hotspot import HotSpotModel
 from repro.thermal.leakage import LeakageModel, solve_with_leakage
 
@@ -28,10 +27,9 @@ LEAKAGE = LeakageModel(leakage_fraction=0.15, beta=0.015, t_ref_c=65.0)
 @pytest.fixture(scope="module")
 def leakage_rows():
     rows = []
-    for name in WORKLOAD_NAMES:
-        graph, library = workload(name)
-        for policy in (TaskEnergyPolicy(), ThermalPolicy()):
-            result = platform_flow(graph, library, policy)
+    for name in BENCHMARK_NAMES:
+        for policy in ("heuristic3", "thermal"):
+            result = run_flow(platform_spec(name, policy=policy))
             model = HotSpotModel(result.floorplan)
             powers = result.schedule.average_powers()
             solution = solve_with_leakage(model, powers, LEAKAGE)
@@ -39,7 +37,7 @@ def leakage_rows():
             rows.append(
                 {
                     "benchmark": name,
-                    "policy": policy.name,
+                    "policy": policy,
                     "peak_no_leak": round(result.evaluation.max_temperature, 2),
                     "peak_with_leak": round(solution.peak_temperature, 2),
                     "leakage_W": round(solution.total_leakage, 2),
@@ -66,7 +64,7 @@ def test_leakage_raises_peaks(leakage_rows):
 
 def test_thermal_policy_leaks_less(leakage_rows):
     """Cooler schedules leak less — the feedback amplifies the gain."""
-    for name in WORKLOAD_NAMES:
+    for name in BENCHMARK_NAMES:
         rows = {r["policy"]: r for r in leakage_rows if r["benchmark"] == name}
         assert rows["thermal"]["leakage_W"] <= rows["heuristic3"]["leakage_W"] + 1e-9
 
@@ -74,7 +72,7 @@ def test_thermal_policy_leaks_less(leakage_rows):
 def test_leakage_amplifies_thermal_gain(leakage_rows):
     """Suite-wide, the peak-temperature gap grows under leakage feedback."""
     gap_before = gap_after = 0.0
-    for name in WORKLOAD_NAMES:
+    for name in BENCHMARK_NAMES:
         rows = {r["policy"]: r for r in leakage_rows if r["benchmark"] == name}
         gap_before += rows["heuristic3"]["peak_no_leak"] - rows["thermal"]["peak_no_leak"]
         gap_after += rows["heuristic3"]["peak_with_leak"] - rows["thermal"]["peak_with_leak"]
@@ -83,14 +81,13 @@ def test_leakage_amplifies_thermal_gain(leakage_rows):
 
 def test_thermal_policy_lives_longer(leakage_rows):
     """The paper's reliability claim, quantified: higher MTTF factor."""
-    for name in WORKLOAD_NAMES:
+    for name in BENCHMARK_NAMES:
         rows = {r["policy"]: r for r in leakage_rows if r["benchmark"] == name}
         assert rows["thermal"]["mttf_factor"] >= rows["heuristic3"]["mttf_factor"]
 
 
 def test_benchmark_leakage_loop(benchmark, leakage_rows):
-    graph, library = workload("Bm1")
-    result = platform_flow(graph, library, ThermalPolicy())
+    result = run_flow(platform_spec("Bm1", policy="thermal"))
     model = HotSpotModel(result.floorplan)
     powers = result.schedule.average_powers()
     benchmark(solve_with_leakage, model, powers, LEAKAGE)

@@ -12,10 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.report import format_table
-from repro.core.heuristics import TaskEnergyPolicy, ThermalPolicy
-from repro.cosynth.framework import platform_flow
-from repro.experiments.workloads import workload
-from repro.library.presets import default_platform
+from repro.flow import platform_spec, run_flow
 
 from conftest import print_report
 
@@ -24,17 +21,15 @@ SIZES = [2, 3, 4, 6, 8]
 
 @pytest.fixture(scope="module")
 def size_sweep():
-    graph, library = workload("Bm2")
     rows = []
     for count in SIZES:
-        platform = default_platform(count=count, name=f"platform{count}")
-        for policy in (TaskEnergyPolicy(), ThermalPolicy()):
-            result = platform_flow(graph, library, policy, architecture=platform)
-            evaluation = result.evaluation
+        for policy in ("heuristic3", "thermal"):
+            spec = platform_spec("Bm2", policy=policy, count=count)
+            evaluation = run_flow(spec).evaluation
             rows.append(
                 {
                     "pes": count,
-                    "policy": policy.name,
+                    "policy": policy,
                     "total_pow": round(evaluation.total_power, 2),
                     "max_temp": round(evaluation.max_temperature, 2),
                     "avg_temp": round(evaluation.avg_temperature, 2),
@@ -90,8 +85,4 @@ def test_makespan_shrinks_with_pes_up_to_parallelism(size_sweep):
 
 
 def test_benchmark_platform8(benchmark, size_sweep):
-    graph, library = workload("Bm2")
-    platform = default_platform(count=8, name="platform8")
-    benchmark(
-        platform_flow, graph, library, ThermalPolicy(), architecture=platform
-    )
+    benchmark(run_flow, platform_spec("Bm2", policy="thermal", count=8))

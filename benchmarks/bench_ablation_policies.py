@@ -12,27 +12,28 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.report import format_table
-from repro.core.thermal_loop import thermal_scheduler
-from repro.analysis.metrics import evaluate_schedule
-from repro.experiments.workloads import WORKLOAD_NAMES, workload
-from repro.extensions.policies import EXTENDED_POLICY_NAMES, extended_policy_by_name
+from repro.core.heuristics import policy_by_name
+from repro.core.scheduler import ListScheduler
 from repro.floorplan.platform import platform_floorplan
+from repro.flow import platform_spec, run_flow
+from repro.flow.spec import GraphSourceSpec, LibrarySpec
 from repro.library.presets import default_platform
+from repro.scenarios import build_workload
+from repro.taskgraph.benchmarks import BENCHMARK_NAMES
+from repro.thermal.hotspot import HotSpotModel
 
 from conftest import print_report
+
+#: The paper's thermal policy and its two extension variants.
+VARIANTS = ("thermal", "thermal-peak", "thermal-hybrid")
 
 
 @pytest.fixture(scope="module")
 def variant_rows():
     rows = []
-    platform = default_platform()
-    plan = platform_floorplan(platform)
-    for name in WORKLOAD_NAMES:
-        graph, library = workload(name)
-        scheduler = thermal_scheduler(graph, platform, library, floorplan=plan)
-        for variant in EXTENDED_POLICY_NAMES:
-            schedule = scheduler.run(extended_policy_by_name(variant))
-            evaluation = evaluate_schedule(schedule, floorplan=plan)
+    for name in BENCHMARK_NAMES:
+        for variant in VARIANTS:
+            evaluation = run_flow(platform_spec(name, policy=variant)).evaluation
             rows.append(
                 {
                     "benchmark": name,
@@ -62,7 +63,7 @@ def test_all_variants_meet_deadlines(variant_rows):
 def test_peak_variant_tightens_spread_on_average(variant_rows):
     """The peak-aware variants should not widen the PE temperature spread."""
     avg_spread = {}
-    for variant in EXTENDED_POLICY_NAMES:
+    for variant in VARIANTS:
         rows = [r for r in variant_rows if r["variant"] == variant]
         avg_spread[variant] = sum(r["spread"] for r in rows) / len(rows)
     assert avg_spread["thermal-peak"] <= avg_spread["thermal"] + 0.5
@@ -70,7 +71,7 @@ def test_peak_variant_tightens_spread_on_average(variant_rows):
 
 def test_variants_comparable_on_avg_metric(variant_rows):
     """No variant should catastrophically regress the average metric."""
-    for name in WORKLOAD_NAMES:
+    for name in BENCHMARK_NAMES:
         rows = {r["variant"]: r for r in variant_rows if r["benchmark"] == name}
         reference = rows["thermal"]["avg_temp"]
         for variant in ("thermal-peak", "thermal-hybrid"):
@@ -78,8 +79,11 @@ def test_variants_comparable_on_avg_metric(variant_rows):
 
 
 def test_benchmark_peak_variant(benchmark, variant_rows):
-    graph, library = workload("Bm1")
+    graph, library = build_workload(
+        GraphSourceSpec(kind="benchmark", name="Bm1"), LibrarySpec()
+    )
     platform = default_platform()
-    scheduler = thermal_scheduler(graph, platform, library)
-    policy = extended_policy_by_name("thermal-peak")
+    model = HotSpotModel(platform_floorplan(platform))
+    scheduler = ListScheduler(graph, platform, library, thermal=model)
+    policy = policy_by_name("thermal-peak")
     benchmark(scheduler.run, policy)

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.heuristics import ThermalPolicy
-from repro.cosynth.framework import platform_flow
-from repro.experiments.workloads import workload
 from repro.analysis.report import format_table
+from repro.flow import platform_spec, run_flow
 
 from conftest import print_report
 
@@ -25,10 +23,9 @@ WEIGHTS = [0.0, 5.0, 10.0, 20.0, 40.0]
 def weight_sweep():
     rows = []
     for name in ("Bm1", "Bm2"):
-        graph, library = workload(name)
         for weight in WEIGHTS:
-            result = platform_flow(graph, library, ThermalPolicy(weight))
-            evaluation = result.evaluation
+            spec = platform_spec(name, policy="thermal", weight=weight)
+            evaluation = run_flow(spec).evaluation
             rows.append(
                 {
                     "benchmark": name,
@@ -48,10 +45,7 @@ def weight_sweep():
 
 
 def test_zero_weight_matches_baseline(weight_sweep):
-    from repro.core.heuristics import BaselinePolicy
-
-    graph, library = workload("Bm1")
-    baseline = platform_flow(graph, library, BaselinePolicy())
+    baseline = run_flow(platform_spec("Bm1", policy="baseline"))
     zero = [r for r in weight_sweep if r["benchmark"] == "Bm1" and r["weight"] == 0.0][0]
     assert zero["makespan"] == pytest.approx(baseline.evaluation.makespan, abs=0.1)
 
@@ -83,5 +77,4 @@ def test_some_positive_weight_beats_zero(weight_sweep):
 
 
 def test_benchmark_weight_sweep(benchmark, weight_sweep):
-    graph, library = workload("Bm1")
-    benchmark(platform_flow, graph, library, ThermalPolicy(20.0))
+    benchmark(run_flow, platform_spec("Bm1", policy="thermal", weight=20.0))

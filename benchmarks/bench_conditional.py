@@ -13,11 +13,13 @@ import pytest
 from repro.analysis.report import format_table
 from repro.core.conditional import schedule_conditional
 from repro.core.heuristics import TaskEnergyPolicy, ThermalPolicy
-from repro.core.scheduler import schedule_graph
-from repro.experiments.workloads import workload
+from repro.core.scheduler import ListScheduler
 from repro.floorplan.platform import platform_floorplan
+from repro.flow.spec import GraphSourceSpec, LibrarySpec
 from repro.library.presets import default_platform
+from repro.scenarios import build_workload
 from repro.taskgraph.conditional import Condition, ConditionalTaskGraph
+from repro.thermal.hotspot import HotSpotModel
 
 from conftest import print_report
 
@@ -52,19 +54,19 @@ def conditional_rows():
     rows = []
     platform = default_platform()
     plan = platform_floorplan(platform)
-    graph, library = workload("Bm1")
+    graph, library = build_workload(
+        GraphSourceSpec(kind="benchmark", name="Bm1"), LibrarySpec()
+    )
     ctg = conditionalise(graph)
     union_graph = ctg.worst_case_graph()
-    from repro.thermal.hotspot import HotSpotModel
-
     model = HotSpotModel(plan)
     for policy in (TaskEnergyPolicy(), ThermalPolicy()):
         result = schedule_conditional(
             ctg, platform, library, policy, hotspot=model
         )
-        union = schedule_graph(
-            union_graph, platform, library, policy, thermal=model
-        )
+        union = ListScheduler(
+            union_graph, platform, library, thermal=model
+        ).run(policy)
         rows.append(
             {
                 "policy": policy.name,
@@ -103,7 +105,9 @@ def test_thermal_policy_cooler_in_expectation(conditional_rows):
 def test_benchmark_conditional(benchmark, conditional_rows):
     platform = default_platform()
     plan = platform_floorplan(platform)
-    graph, library = workload("Bm1")
+    graph, library = build_workload(
+        GraphSourceSpec(kind="benchmark", name="Bm1"), LibrarySpec()
+    )
     ctg = conditionalise(graph)
     benchmark(
         schedule_conditional,

@@ -48,9 +48,6 @@ def test_platform_flow_has_fixed_architecture(figure1_traces):
 
 def test_benchmark_figure1(benchmark, figure1_traces):
     """Time the platform leg of the Figure-1 demonstration."""
-    from repro.core.heuristics import ThermalPolicy
-    from repro.cosynth.framework import platform_flow
-    from repro.experiments.workloads import workload
+    from repro.flow import platform_spec, run_flow
 
-    graph, library = workload("Bm1")
-    benchmark(platform_flow, graph, library, ThermalPolicy())
+    benchmark(run_flow, platform_spec("Bm1", policy="thermal"))

@@ -2,11 +2,11 @@
 
 Two contracts guard the flow API's performance story:
 
-* **facade overhead < 5 %** — ``Flow.run(platform_spec(...))`` vs calling
-  :func:`repro.cosynth.framework.platform_flow` directly with a pre-built
-  workload.  The facade adds spec hashing, registry lookups and workload
-  memoisation; none of that may cost real time against the scheduler +
-  HotSpot inner loop.
+* **facade overhead < 5 %** — ``Flow.run(platform_spec(...))`` vs
+  composing ``HotSpotModel`` → ``ListScheduler.run`` → ``evaluate_schedule``
+  directly on a pre-built workload.  The facade adds spec hashing,
+  registry lookups and workload memoisation; none of that may cost real
+  time against the scheduler + HotSpot inner loop.
 * **run_many scaling** — the 8-spec ablation sweep (Bm1–Bm4 x
   {heuristic3, thermal}) through ``workers=4`` must beat serial ≥ 2x on
   multi-core hosts; on any host a warm cache must beat recomputation
@@ -25,7 +25,16 @@ import time
 
 import pytest
 
-from repro import benchmark, library_for_graph, platform_flow, policy_by_name
+from repro import (
+    HotSpotModel,
+    ListScheduler,
+    benchmark,
+    default_platform,
+    evaluate_schedule,
+    library_for_graph,
+    platform_floorplan,
+    policy_by_name,
+)
 from repro.flow import Flow, platform_spec, run_many
 
 from conftest import print_report
@@ -51,9 +60,15 @@ def measurements():
     spec = platform_spec("Bm1", policy="thermal")
     flow.run(spec)  # warm the workload memo, like the direct path's prebuild
 
-    direct = _time(
-        lambda: platform_flow(graph, library, policy_by_name("thermal")), REPEATS
-    )
+    def direct_platform():
+        architecture = default_platform()
+        hotspot = HotSpotModel(platform_floorplan(architecture))
+        schedule = ListScheduler(graph, architecture, library, thermal=hotspot).run(
+            policy_by_name("thermal")
+        )
+        return evaluate_schedule(schedule, hotspot=hotspot)
+
+    direct = _time(direct_platform, REPEATS)
     facade = _time(lambda: flow.run(spec), REPEATS)
 
     sweep = [

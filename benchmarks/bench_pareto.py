@@ -12,8 +12,9 @@ import pytest
 
 from repro.analysis.report import format_table
 from repro.cosynth.pareto import explore_allocations, pareto_front
-from repro.experiments.workloads import workload
 from repro.floorplan.genetic import GeneticConfig
+from repro.flow.spec import GraphSourceSpec, LibrarySpec
+from repro.scenarios import build_workload
 
 from conftest import print_report
 
@@ -22,7 +23,9 @@ GA = GeneticConfig(population_size=10, generations=8)
 
 @pytest.fixture(scope="module")
 def bm1_points():
-    graph, library = workload("Bm1")
+    graph, library = build_workload(
+        GraphSourceSpec(kind="benchmark", name="Bm1"), LibrarySpec()
+    )
     points = explore_allocations(
         graph, library, max_pes=3, genetic_config=GA
     )
@@ -64,7 +67,9 @@ def test_front_shows_power_temperature_tradeoff(bm1_points):
 
 
 def test_benchmark_pareto(benchmark, bm1_points):
-    graph, library = workload("Bm1")
+    graph, library = build_workload(
+        GraphSourceSpec(kind="benchmark", name="Bm1"), LibrarySpec()
+    )
     benchmark(
         explore_allocations,
         graph,

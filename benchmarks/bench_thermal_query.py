@@ -30,8 +30,10 @@ import pytest
 from repro import default_platform, library_for_graph
 from repro import benchmark as paper_benchmark
 from repro.core.heuristics import ThermalPolicy
-from repro.core.thermal_loop import hotspot_for, thermal_scheduler
+from repro.core.scheduler import ListScheduler
+from repro.floorplan.platform import platform_floorplan
 from repro.power.model import PowerAccumulator
+from repro.thermal.hotspot import HotSpotModel
 from repro.thermal.query import ScheduledThermalQuery
 
 from conftest import print_report
@@ -59,7 +61,7 @@ def _best_of(fn, passes: int = PASSES) -> float:
 @pytest.fixture(scope="module")
 def measurements():
     architecture = default_platform()
-    model = hotspot_for(architecture)
+    model = HotSpotModel(platform_floorplan(architecture))
     names = [pe.name for pe in architecture]
     accumulator = PowerAccumulator(
         names,
@@ -92,7 +94,10 @@ def measurements():
     # end-to-end: full thermal ASP, fast path vs per-candidate reference
     graph = paper_benchmark("Bm1")
     library = library_for_graph(graph)
-    scheduler = thermal_scheduler(graph, architecture, library)
+    scheduler = ListScheduler(
+        graph, architecture, library,
+        thermal=HotSpotModel(platform_floorplan(architecture)),
+    )
     scheduler.run(ThermalPolicy())  # warm caches for both modes
 
     solves_before = scheduler.thermal.query_stats["solver_solves"]
@@ -167,5 +172,7 @@ def test_benchmark_thermal_asp(benchmark):
     """Time one fast-path thermal ASP run on Bm1 (pytest-benchmark)."""
     graph = paper_benchmark("Bm1")
     library = library_for_graph(graph)
-    scheduler = thermal_scheduler(graph, default_platform(), library)
+    architecture = default_platform()
+    model = HotSpotModel(platform_floorplan(architecture))
+    scheduler = ListScheduler(graph, architecture, library, thermal=model)
     benchmark(scheduler.run, ThermalPolicy())

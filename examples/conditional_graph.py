@@ -13,13 +13,13 @@ Run:  python examples/conditional_graph.py
 from repro import (
     Condition,
     ConditionalTaskGraph,
+    ListScheduler,
     ThermalPolicy,
     default_platform,
     format_table,
     generate_technology_library,
     platform_floorplan,
     schedule_conditional,
-    schedule_graph,
 )
 
 
@@ -77,7 +77,7 @@ def main() -> None:
     print(format_table(rows, title=f"{ctg.name}: per-scenario thermal schedules"))
     print("\naggregate:", result.as_row())
 
-    union = schedule_graph(ctg.worst_case_graph(), platform, library)
+    union = ListScheduler(ctg.worst_case_graph(), platform, library).run()
     print(
         f"\nclassic union bound (all branches execute): makespan "
         f"{union.makespan:.1f} vs scenario-aware worst case "

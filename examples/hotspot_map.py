@@ -11,14 +11,7 @@ Run:  python examples/hotspot_map.py
 
 import numpy as np
 
-from repro import (
-    BaselinePolicy,
-    GridModel,
-    ThermalPolicy,
-    benchmark,
-    library_for_graph,
-    platform_flow,
-)
+from repro import GridModel, platform_spec, run_flow
 
 SHADES = " .:-=+*#%@"
 
@@ -40,12 +33,10 @@ def heatmap(grid_model, powers, t_lo=None, t_hi=None):
 
 
 def main() -> None:
-    graph = benchmark("Bm2")
-    library = library_for_graph(graph)
-
-    results = {}
-    for policy in (BaselinePolicy(), ThermalPolicy()):
-        results[policy.name] = platform_flow(graph, library, policy)
+    results = {
+        policy: run_flow(platform_spec("Bm2", policy=policy))
+        for policy in ("baseline", "thermal")
+    }
 
     plan = results["baseline"].floorplan
     grid = GridModel(plan, rows=6, cols=24)

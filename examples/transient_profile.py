@@ -12,14 +12,7 @@ Run:  python examples/transient_profile.py
 
 import numpy as np
 
-from repro import (
-    HotSpotModel,
-    TaskEnergyPolicy,
-    ThermalPolicy,
-    benchmark,
-    library_for_graph,
-    platform_flow,
-)
+from repro import HotSpotModel, platform_spec, run_flow
 
 TICKS = "▁▂▃▄▅▆▇█"
 TIME_SCALE = 1e-3  # one schedule unit = 1 ms
@@ -36,9 +29,7 @@ def sparkline(series, lo, hi, width=72):
 
 
 def profile(policy):
-    graph = benchmark("Bm1")
-    library = library_for_graph(graph)
-    result = platform_flow(graph, library, policy)
+    result = run_flow(platform_spec("Bm1", policy=policy))
     model = HotSpotModel(result.floorplan)
     trace = result.schedule.power_trace()
     warm = model.temperatures(result.schedule.average_powers())
@@ -48,7 +39,7 @@ def profile(policy):
 
 
 def main() -> None:
-    runs = [profile(TaskEnergyPolicy()), profile(ThermalPolicy())]
+    runs = [profile("heuristic3"), profile("thermal")]
     lo = min(run[2].temperatures.min() for run in runs)
     hi = max(run[2].temperatures.max() for run in runs)
 

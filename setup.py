@@ -1,8 +1,9 @@
-"""Legacy setup shim.
+"""Bare setup shim.
 
-The canonical metadata lives in pyproject.toml; this file exists so that
-offline environments without the `wheel` package (where PEP 660 editable
-installs cannot build) can still `python setup.py develop`.
+It declares no package metadata, and the repository has no
+pyproject.toml: ``python setup.py --name --version`` prints
+``UNKNOWN 0.0.0``.  Run the package from source with ``PYTHONPATH=src``
+(see README.md).
 """
 
 from setuptools import setup

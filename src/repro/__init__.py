@@ -45,10 +45,12 @@ docs/OBSERVABILITY.md.
 
 The same flows are scriptable from the shell (``python -m repro --help``:
 ``run`` / ``sweep`` / ``scenarios`` / ``results`` / ``experiments`` /
-``list``).  Legacy entry points
-(``platform_flow``, ``thermal_aware_cosynthesis``, ``reclaim_slack``,
-``schedule_conditional``...) keep working and return results identical to
-the facade; docs/FLOW_API.md maps each onto its FlowSpec equivalent.
+``list``).  The flow facade is the one way to run a flow; for hand-built
+graphs or architectures, compose the pieces it runs directly
+(``ListScheduler(graph, arch, library, thermal=HotSpotModel(plan)).run(policy)``
+plus :func:`~repro.analysis.evaluate_schedule`).  The pre-flow wrappers
+were removed in 2.0.0; docs/FLOW_API.md lists each with its
+replacement.
 """
 
 from .errors import (
@@ -119,18 +121,12 @@ from .core import (
     TaskPowerPolicy,
     ThermalPolicy,
     policy_by_name,
-    schedule_graph,
     static_criticality,
-    thermal_scheduler,
 )
 from .cosynth import (
     CoSynthesisConfig,
     CoSynthesisFramework,
     CoSynthesisResult,
-    PlatformResult,
-    platform_flow,
-    power_aware_cosynthesis,
-    thermal_aware_cosynthesis,
 )
 from .analysis import (
     ScheduleEvaluation,
@@ -220,7 +216,7 @@ from .results import (
     stream_records,
 )
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -290,16 +286,10 @@ __all__ = [
     "Assignment",
     "Schedule",
     "ListScheduler",
-    "schedule_graph",
-    "thermal_scheduler",
     # cosynth
     "CoSynthesisConfig",
     "CoSynthesisFramework",
     "CoSynthesisResult",
-    "PlatformResult",
-    "platform_flow",
-    "power_aware_cosynthesis",
-    "thermal_aware_cosynthesis",
     # analysis
     "ScheduleEvaluation",
     "evaluate_schedule",

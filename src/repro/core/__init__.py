@@ -4,9 +4,11 @@
 * :mod:`repro.core.heuristics` — the DC ``Pow``/``Avg_Temp`` policies
   (baseline, power heuristics 1–3, thermal);
 * :class:`~repro.core.scheduler.ListScheduler` — the ASP engine;
-* :class:`~repro.core.schedule.Schedule` — its validated output;
-* :func:`~repro.core.thermal_loop.thermal_scheduler` — HotSpot-in-the-loop
-  construction (Figure 1b).
+* :class:`~repro.core.schedule.Schedule` — its validated output.
+
+Pass a :class:`~repro.thermal.HotSpotModel` as the scheduler's
+``thermal`` argument to run the thermal policies (HotSpot in the loop,
+Figure 1b).
 """
 
 from .conditional import (
@@ -27,8 +29,7 @@ from .heuristics import (
     policy_by_name,
 )
 from .schedule import Assignment, Schedule
-from .scheduler import ListScheduler, schedule_graph
-from .thermal_loop import hotspot_for, thermal_scheduler
+from .scheduler import ListScheduler
 
 __all__ = [
     "static_criticality",
@@ -44,9 +45,6 @@ __all__ = [
     "Assignment",
     "Schedule",
     "ListScheduler",
-    "schedule_graph",
-    "hotspot_for",
-    "thermal_scheduler",
     "ConditionalEvaluation",
     "ScenarioResult",
     "schedule_conditional",

@@ -21,7 +21,6 @@ inspects :attr:`Schedule.meets_deadline` and iterates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..errors import DeadlineMissError, InfeasibleAllocationError, ThermalError
@@ -37,7 +36,7 @@ from .criticality import static_criticality
 from .heuristics import BaselinePolicy, DCContext, DCPolicy
 from .schedule import Assignment, Schedule
 
-__all__ = ["ListScheduler", "schedule_graph"]
+__all__ = ["ListScheduler"]
 
 
 class ListScheduler:
@@ -359,16 +358,3 @@ class ListScheduler:
             raise DeadlineMissError(schedule.makespan, graph.deadline)
         return schedule
 
-
-def schedule_graph(
-    graph: TaskGraph,
-    architecture: Architecture,
-    library: TechnologyLibrary,
-    policy: Optional[DCPolicy] = None,
-    thermal: Optional[HotSpotModel] = None,
-    check_deadline: bool = False,
-    comm: Optional[CommunicationModel] = None,
-) -> Schedule:
-    """One-shot convenience wrapper around :class:`ListScheduler`."""
-    scheduler = ListScheduler(graph, architecture, library, thermal, comm=comm)
-    return scheduler.run(policy, check_deadline=check_deadline)

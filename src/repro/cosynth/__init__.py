@@ -1,4 +1,4 @@
-"""Co-synthesis substrate (S7): allocation search + the two design flows."""
+"""Co-synthesis substrate (S7): allocation search + the co-synthesis framework."""
 
 from .allocation import enumerate_allocations, feasible_allocations, make_architecture
 from .cost import (
@@ -13,10 +13,6 @@ from .framework import (
     CoSynthesisConfig,
     CoSynthesisFramework,
     CoSynthesisResult,
-    PlatformResult,
-    platform_flow,
-    power_aware_cosynthesis,
-    thermal_aware_cosynthesis,
 )
 
 __all__ = [
@@ -31,10 +27,6 @@ __all__ = [
     "CoSynthesisConfig",
     "CoSynthesisFramework",
     "CoSynthesisResult",
-    "PlatformResult",
-    "platform_flow",
-    "power_aware_cosynthesis",
-    "thermal_aware_cosynthesis",
     "DesignPoint",
     "explore_allocations",
     "pareto_front",

@@ -10,7 +10,6 @@ from .paper_data import (
     table2_rows,
     table3_rows,
 )
-from .workloads import WORKLOAD_NAMES, all_workloads, workload
 from .table1 import (
     TABLE1_POLICIES,
     format_table1,
@@ -41,9 +40,6 @@ __all__ = [
     "table1_rows",
     "table2_rows",
     "table3_rows",
-    "WORKLOAD_NAMES",
-    "workload",
-    "all_workloads",
     "TABLE1_POLICIES",
     "run_table1",
     "table1_rows_from_records",

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional
 from ..cosynth.framework import CoSynthesisConfig
 from ..flow.runner import run_flow
 from ..flow.spec import cosynthesis_spec, platform_spec
-from .workloads import workload
 
 __all__ = ["FlowTrace", "run_figure1", "format_figure1"]
 
@@ -63,7 +62,6 @@ def run_figure1(
     config: Optional[CoSynthesisConfig] = None,
 ) -> List[FlowTrace]:
     """Execute flow (a) and flow (b) on one benchmark and trace them."""
-    graph, library = workload(benchmark_name)
     traces: List[FlowTrace] = []
 
     # ---- Figure 1a: thermal-aware co-synthesis -------------------------
@@ -89,7 +87,7 @@ def run_figure1(
     trace_a.hotspot_queries = result.diagnostics["hotspot_queries"]
     trace_a.die_area_mm2 = result.floorplan.die_area
     trace_a.makespan = result.schedule.makespan
-    trace_a.deadline = graph.deadline
+    trace_a.deadline = result.schedule.graph.deadline
     trace_a.meets_requirement = result.meets_deadline
     trace_a.max_temp = result.evaluation.max_temperature
     trace_a.avg_temp = result.evaluation.avg_temperature
@@ -106,7 +104,7 @@ def run_figure1(
     trace_b.hotspot_queries = platform.diagnostics["hotspot_queries"]
     trace_b.die_area_mm2 = platform.floorplan.die_area
     trace_b.makespan = platform.schedule.makespan
-    trace_b.deadline = graph.deadline
+    trace_b.deadline = platform.schedule.graph.deadline
     trace_b.meets_requirement = platform.meets_deadline
     trace_b.max_temp = platform.evaluation.max_temperature
     trace_b.avg_temp = platform.evaluation.avg_temperature

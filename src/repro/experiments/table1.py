@@ -29,9 +29,9 @@ from ..analysis.report import format_table
 from ..cosynth.framework import CoSynthesisConfig
 from ..flow.batch import run_many
 from ..flow.spec import FlowSpec, cosynthesis_spec, platform_spec
+from ..taskgraph.benchmarks import BENCHMARK_NAMES
 from .paper_data import TABLE1_COSYNTHESIS, TABLE1_PLATFORM
 from .recordset import record_for_spec, records_by_spec_hash
-from .workloads import WORKLOAD_NAMES
 
 __all__ = [
     "TABLE1_POLICIES",
@@ -55,7 +55,7 @@ def _table1_plan(
     config: Optional[CoSynthesisConfig] = None,
 ) -> List[_PlanEntry]:
     """The ordered (row meta, spec) plan behind Table 1."""
-    benchmarks = list(benchmarks) if benchmarks is not None else list(WORKLOAD_NAMES)
+    benchmarks = list(benchmarks) if benchmarks is not None else list(BENCHMARK_NAMES)
     policies = list(policies) if policies is not None else list(TABLE1_POLICIES)
     plan: List[_PlanEntry] = []
     for name in benchmarks:

@@ -24,9 +24,9 @@ from ..analysis.report import format_table
 from ..cosynth.framework import CoSynthesisConfig
 from ..flow.batch import run_many
 from ..flow.spec import FlowSpec, cosynthesis_spec
+from ..taskgraph.benchmarks import BENCHMARK_NAMES
 from .paper_data import TABLE2
 from .recordset import record_for_spec, records_by_spec_hash
-from .workloads import WORKLOAD_NAMES
 
 __all__ = [
     "run_table2",
@@ -41,7 +41,7 @@ def _table2_plan(
     config: Optional[CoSynthesisConfig] = None,
 ) -> List[Tuple[str, str, FlowSpec]]:
     """The ordered (benchmark, approach, spec) plan behind Table 2."""
-    benchmarks = list(benchmarks) if benchmarks is not None else list(WORKLOAD_NAMES)
+    benchmarks = list(benchmarks) if benchmarks is not None else list(BENCHMARK_NAMES)
     plan: List[Tuple[str, str, FlowSpec]] = []
     for name in benchmarks:
         plan.append(

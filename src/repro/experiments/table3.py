@@ -22,9 +22,9 @@ from ..analysis.compare import average_delta
 from ..analysis.report import format_table
 from ..flow.batch import run_many
 from ..flow.spec import FlowSpec, platform_spec
+from ..taskgraph.benchmarks import BENCHMARK_NAMES
 from .paper_data import TABLE3
 from .recordset import record_for_spec, records_by_spec_hash
-from .workloads import WORKLOAD_NAMES
 
 __all__ = [
     "run_table3",
@@ -39,7 +39,7 @@ def _table3_plan(
     thermal_weight: Optional[float] = None,
 ) -> List[Tuple[str, str, FlowSpec]]:
     """The ordered (benchmark, approach, spec) plan behind Table 3."""
-    benchmarks = list(benchmarks) if benchmarks is not None else list(WORKLOAD_NAMES)
+    benchmarks = list(benchmarks) if benchmarks is not None else list(BENCHMARK_NAMES)
     plan: List[Tuple[str, str, FlowSpec]] = []
     for name in benchmarks:
         plan.append(

@@ -12,12 +12,7 @@ from .dvfs import (
     reclaim_slack,
     retime_schedule,
 )
-from .policies import (
-    EXTENDED_POLICY_NAMES,
-    HybridThermalPolicy,
-    ThermalPeakPolicy,
-    extended_policy_by_name,
-)
+from .policies import HybridThermalPolicy, ThermalPeakPolicy
 
 __all__ = [
     "DVFSLevel",
@@ -27,6 +22,4 @@ __all__ = [
     "retime_schedule",
     "ThermalPeakPolicy",
     "HybridThermalPolicy",
-    "extended_policy_by_name",
-    "EXTENDED_POLICY_NAMES",
 ]

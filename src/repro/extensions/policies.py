@@ -14,28 +14,19 @@ ablation bench):
 
 Both register themselves into the core DC-policy registry at import time,
 so ``repro.policy_by_name("thermal-peak")`` (or ``"thermal_peak"``) works
-like any built-in name and ``repro.POLICY_NAMES`` lists them.  The narrower
-:func:`extended_policy_by_name` registry (thermal variants only) is kept
-for the policy-variant ablation bench.
+like any built-in name and ``repro.POLICY_NAMES`` lists them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from ..core.heuristics import (
-    DCContext,
-    DCPolicy,
-    ThermalPolicy,
-    register_dc_policy,
-)
+from ..core.heuristics import DCContext, DCPolicy, register_dc_policy
 from ..errors import SchedulingError
 
 __all__ = [
     "ThermalPeakPolicy",
     "HybridThermalPolicy",
-    "extended_policy_by_name",
-    "EXTENDED_POLICY_NAMES",
 ]
 
 
@@ -118,27 +109,3 @@ class HybridThermalPolicy(DCPolicy):
         mixed = (1.0 - self.peak_fraction) * average + self.peak_fraction * peak
         return self.weight * mixed
 
-
-#: Extended registry (includes the paper's thermal policy for sweeps).
-_EXTENDED = {
-    ThermalPolicy.name: ThermalPolicy,
-    ThermalPeakPolicy.name: ThermalPeakPolicy,
-    HybridThermalPolicy.name: HybridThermalPolicy,
-}
-
-#: Names accepted by :func:`extended_policy_by_name`.
-EXTENDED_POLICY_NAMES = tuple(_EXTENDED)
-
-
-def extended_policy_by_name(name: str, weight: Optional[float] = None) -> DCPolicy:
-    """Instantiate a thermal policy variant from its registry name."""
-    try:
-        cls = _EXTENDED[name]
-    except KeyError:
-        raise SchedulingError(
-            f"unknown thermal policy variant {name!r}; "
-            f"available: {EXTENDED_POLICY_NAMES}"
-        )
-    if weight is None:
-        return cls()
-    return cls(weight)

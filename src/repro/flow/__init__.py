@@ -21,10 +21,10 @@ behaviours drop in without touching the facade::
     result = run_flow(platform_spec("Bm1", policy="thermal"))
     print(result.evaluation.as_row())
 
-Legacy entry points (``platform_flow``, ``thermal_aware_cosynthesis``,
-``reclaim_slack``, ``schedule_conditional``...) keep working and return
-results byte-identical to the facade; docs/FLOW_API.md maps each to its
-spec equivalent.
+This is the one flow entry point.  The pre-flow wrappers were removed
+in 2.0.0; docs/FLOW_API.md maps each to its spec equivalent.  The building
+blocks the flows run on (``CoSynthesisFramework``, ``reclaim_slack``,
+``schedule_conditional``, ``solve_with_leakage``) stay public.
 """
 
 from .spec import (

@@ -2,17 +2,17 @@
 
 One entry point executes any registered flow kind from a declarative
 :class:`~repro.flow.spec.FlowSpec` and returns one unified
-:class:`FlowResult` — replacing the three incompatible result shapes of
-the legacy entry points (``PlatformResult``, ``CoSynthesisResult``,
-``DVFSResult``) with a single object carrying the schedule, its
+:class:`FlowResult` — a single object carrying the schedule, its
 evaluation, the floorplan, optional post-pass results, and provenance +
-stage-timing metadata.
+stage-timing metadata, in place of the per-stage result shapes
+(``CoSynthesisResult``, ``DVFSResult``...) of the building blocks it
+runs.
 
 The built-in flow kinds reproduce the paper's two figures exactly:
 
 * ``"platform"`` — Figure 1b.  Fixed architecture and floorplan, ASP with
-  HotSpot inquiries.  Byte-identical to
-  :func:`repro.cosynth.framework.platform_flow` for equal inputs.
+  HotSpot inquiries: ``HotSpotModel`` → ``ListScheduler.run`` →
+  ``evaluate_schedule``, byte-identical to composing those by hand.
 * ``"cosynthesis"`` — Figure 1a.  Allocation screening, thermal/area
   floorplanning, HotSpot-in-the-loop refinement.  Byte-identical to
   :class:`repro.cosynth.framework.CoSynthesisFramework` for equal inputs.

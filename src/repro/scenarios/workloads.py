@@ -2,9 +2,9 @@
 
 This module is the single place a :class:`~repro.flow.GraphSourceSpec`
 turns into a concrete ``(graph, technology library)`` pair.  It backs
-:meth:`repro.flow.Flow.run`, :mod:`repro.experiments.workloads`, and the
-CLI alike, and memoises per process so sweeps over policies never
-regenerate identical substrates.
+:meth:`repro.flow.Flow.run`, the experiments and the CLI alike, and
+memoises per process so sweeps over policies never regenerate identical
+substrates.
 
 Source kinds:
 

@@ -2,14 +2,15 @@
 
 Requests do not run on their connection threads.  The HTTP layer
 enqueues a :class:`ServeJob` onto one bounded :class:`queue.Queue` and
-waits; a fixed pool of worker threads — sized to the machine's cores by
-default — drains it, each running specs through a
-:class:`~repro.flow.Flow` wired to the shared
-:class:`~repro.serve.cache.EngineCache`.  Threads (not processes) are
-the point: warm engines live in this process's memory, and the
-scheduling inner loop is NumPy-heavy enough that the GIL is released
-where it matters, while the expensive construction work is exactly what
-the cache removes.
+waits; a fixed pool of worker threads (``os.cpu_count()`` by default)
+drains it, each running specs through a :class:`~repro.flow.Flow`
+wired to the shared :class:`~repro.serve.cache.EngineCache`.  The
+threads do not run flows in parallel: the scheduler's candidate loop is
+pure Python and holds the GIL, and in-process flow throughput is flat
+in the thread count (91.4 / 90.5 / 91.3 specs/s at 1 / 2 / 4 threads
+on a 2-CPU host).  What threads buy over processes is that every worker
+shares the warm engines in this process's memory, and that one
+worker's I/O (store appends, waiting clients) overlaps another's flow.
 
 Backpressure is explicit: a full queue rejects immediately with
 :class:`QueueFullError` carrying a ``Retry-After`` estimate derived

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.scheduler import ListScheduler, schedule_graph
+from repro.core.scheduler import ListScheduler
 from repro.errors import LibraryError
 from repro.library.bus import Bus, CommunicationModel, shared_bus_comm, zero_cost_comm
 from repro.library.pe import Architecture, PEType
@@ -71,7 +71,7 @@ class TestSchedulerIntegration:
     def test_same_pe_chain_unaffected(self, workload):
         graph, arch, library = workload
         comm = shared_bus_comm(bandwidth=1.0, latency=5.0)
-        schedule = schedule_graph(graph, arch, library, comm=comm)
+        schedule = ListScheduler(graph, arch, library, comm=comm).run()
         producer = schedule.assignment("producer")
         consumer = schedule.assignment("consumer")
         if producer.pe == consumer.pe:
@@ -81,7 +81,7 @@ class TestSchedulerIntegration:
         """With a huge transfer cost the consumer must follow its producer."""
         graph, arch, library = workload
         comm = shared_bus_comm(bandwidth=0.1, latency=50.0)  # 450-unit hop
-        schedule = schedule_graph(graph, arch, library, comm=comm)
+        schedule = ListScheduler(graph, arch, library, comm=comm).run()
         assert (
             schedule.assignment("producer").pe
             == schedule.assignment("consumer").pe
@@ -89,39 +89,41 @@ class TestSchedulerIntegration:
 
     def test_free_comm_matches_default(self, bm1, bm1_library):
         platform = default_platform()
-        default = schedule_graph(bm1, platform, bm1_library)
-        free = schedule_graph(bm1, platform, bm1_library, comm=zero_cost_comm())
+        default = ListScheduler(bm1, platform, bm1_library).run()
+        free = ListScheduler(
+            bm1, platform, bm1_library, comm=zero_cost_comm()
+        ).run()
         assert [(a.task, a.pe, a.start) for a in default.assignments()] == [
             (a.task, a.pe, a.start) for a in free.assignments()
         ]
 
     def test_bus_never_shortens_makespan(self, bm1, bm1_library):
         platform = default_platform()
-        free = schedule_graph(bm1, platform, bm1_library)
-        slow_bus = schedule_graph(
+        free = ListScheduler(bm1, platform, bm1_library).run()
+        slow_bus = ListScheduler(
             bm1,
             platform,
             bm1_library,
             comm=shared_bus_comm(bandwidth=0.5, latency=2.0),
-        )
+        ).run()
         assert slow_bus.makespan >= free.makespan - 1e-9
         slow_bus.validate(bm1_library)
 
     def test_faster_bus_never_worse(self, bm1, bm1_library):
         platform = default_platform()
-        slow = schedule_graph(
+        slow = ListScheduler(
             bm1, platform, bm1_library,
             comm=shared_bus_comm(bandwidth=0.5, latency=4.0),
-        )
-        fast = schedule_graph(
+        ).run()
+        fast = ListScheduler(
             bm1, platform, bm1_library,
             comm=shared_bus_comm(bandwidth=50.0, latency=0.1),
-        )
+        ).run()
         assert fast.makespan <= slow.makespan + 1e-9
 
     def test_schedule_valid_under_comm(self, bm2, bm2_library):
         platform = default_platform()
-        schedule = schedule_graph(
+        schedule = ListScheduler(
             bm2, platform, bm2_library, comm=shared_bus_comm()
-        )
+        ).run()
         schedule.validate(bm2_library)  # precedence holds a fortiori

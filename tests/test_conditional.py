@@ -187,15 +187,15 @@ class TestConditionalScheduling:
 
     def test_union_bound_at_least_worst_scenario(self, setup):
         """The classic all-branches bound dominates every scenario."""
-        from repro.core.scheduler import schedule_graph
+        from repro.core.scheduler import ListScheduler
 
         ctg, platform, library = setup
         plan = platform_floorplan(platform)
         conditional = schedule_conditional(
             ctg, platform, library, TaskEnergyPolicy(), floorplan=plan
         )
-        union = schedule_graph(
-            ctg.worst_case_graph(), platform, library, TaskEnergyPolicy()
+        union = ListScheduler(ctg.worst_case_graph(), platform, library).run(
+            TaskEnergyPolicy()
         )
         assert union.makespan >= conditional.worst_makespan - 1e-9
 

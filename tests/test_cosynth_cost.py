@@ -55,32 +55,32 @@ class TestFinalCost:
 
 class TestScreeningCost:
     def test_feasible_cheaper_than_infeasible(self, bm1, bm1_library):
-        from repro.core.scheduler import schedule_graph
+        from repro.core.scheduler import ListScheduler
         from repro.library.presets import default_platform
 
         platform = default_platform()
-        schedule = schedule_graph(bm1, platform, bm1_library)
+        schedule = ListScheduler(bm1, platform, bm1_library).run()
         assert schedule.meets_deadline
         feasible_cost = screening_cost()(schedule)
 
         tight = bm1.with_deadline(schedule.makespan / 2.0)
-        tight_schedule = schedule_graph(tight, platform, bm1_library)
+        tight_schedule = ListScheduler(tight, platform, bm1_library).run()
         assert not tight_schedule.meets_deadline
         assert screening_cost()(tight_schedule) > feasible_cost + 1e5
 
     def test_energy_ranks_feasible_allocations(self, bm1, bm1_library):
-        from repro.core.scheduler import schedule_graph
+        from repro.core.scheduler import ListScheduler
         from repro.library.presets import default_platform
 
-        schedule = schedule_graph(bm1, default_platform(), bm1_library)
+        schedule = ListScheduler(bm1, default_platform(), bm1_library).run()
         base = ScreeningCost(energy_weight=1.0, monetary_weight=0.0)(schedule)
         assert base == pytest.approx(schedule.total_energy)
 
     def test_performance_screening_ignores_energy(self, bm1, bm1_library):
-        from repro.core.scheduler import schedule_graph
+        from repro.core.scheduler import ListScheduler
         from repro.library.presets import default_platform
 
         platform = default_platform()
-        schedule = schedule_graph(bm1, platform, bm1_library)
+        schedule = ListScheduler(bm1, platform, bm1_library).run()
         cost = performance_screening_cost()(schedule)
         assert cost == pytest.approx(0.1 * 0.0 + 1.0 * platform.total_cost)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.heuristics import BaselinePolicy
-from repro.core.scheduler import schedule_graph
+from repro.core.scheduler import ListScheduler
 from repro.errors import SchedulingError
 from repro.extensions.dvfs import (
     DEFAULT_LEVELS,
@@ -16,7 +16,7 @@ from repro.library.presets import default_platform
 
 @pytest.fixture
 def bm1_schedule(bm1, bm1_library):
-    return schedule_graph(bm1, default_platform(), bm1_library, BaselinePolicy())
+    return ListScheduler(bm1, default_platform(), bm1_library).run(BaselinePolicy())
 
 
 class TestDVFSLevel:

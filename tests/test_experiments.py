@@ -14,8 +14,10 @@ from repro.experiments.runner import EXPERIMENTS, run_experiment
 from repro.experiments.table1 import TABLE1_POLICIES, format_table1, run_table1
 from repro.experiments.table2 import format_table2, run_table2, table2_reductions
 from repro.experiments.table3 import format_table3, run_table3, table3_reductions
-from repro.experiments.workloads import WORKLOAD_NAMES, all_workloads, workload
 from repro.floorplan.genetic import GeneticConfig
+from repro.flow.spec import GraphSourceSpec, LibrarySpec
+from repro.scenarios import build_workload
+from repro.taskgraph.benchmarks import BENCHMARK_NAMES
 
 FAST = CoSynthesisConfig(
     max_pes=3,
@@ -26,18 +28,27 @@ FAST = CoSynthesisConfig(
 
 
 class TestWorkloads:
+    """The benchmark workloads every experiment evaluates on."""
+
     def test_names_match_paper(self):
-        assert WORKLOAD_NAMES == ["Bm1", "Bm2", "Bm3", "Bm4"]
+        assert list(BENCHMARK_NAMES) == ["Bm1", "Bm2", "Bm3", "Bm4"]
 
     def test_workload_cached(self):
-        assert workload("Bm1")[0] is workload("Bm1")[0]
+        source = GraphSourceSpec(kind="benchmark", name="Bm1")
+        first = build_workload(source, LibrarySpec())[0]
+        assert build_workload(source, LibrarySpec())[0] is first
 
     def test_all_workloads_cover_suite(self):
-        loads = all_workloads()
-        assert [g.name for g, _ in loads] == WORKLOAD_NAMES
+        sources = [
+            GraphSourceSpec(kind="benchmark", name=name) for name in BENCHMARK_NAMES
+        ]
+        graphs = [build_workload(source, LibrarySpec())[0] for source in sources]
+        assert [g.name for g in graphs] == list(BENCHMARK_NAMES)
 
     def test_library_covers_graph(self):
-        graph, library = workload("Bm3")
+        graph, library = build_workload(
+            GraphSourceSpec(kind="benchmark", name="Bm3"), LibrarySpec()
+        )
         types = {t.task_type for t in graph}
         assert types <= set(library.task_types())
 
@@ -86,6 +97,34 @@ class TestTable2:
         rows = run_table2(benchmarks=["Bm1"], config=FAST)
         text = format_table2(rows)
         assert "10.9" in text and "6.95" in text
+
+
+@pytest.fixture(scope="module")
+def table2_full():
+    """Table 2 at the full co-synthesis budget, all four benchmarks."""
+    return run_table2()
+
+
+class TestTable2Fidelity:
+    """The paper's Table 2 claim, pinned at this seed: thermal-aware
+    co-synthesis runs cooler than power-aware on both aggregate metrics.
+
+    Per benchmark the claim does not hold everywhere (Bm1's average is
+    0.09 C warmer under the thermal flow), so only the aggregate is
+    asserted one-sided; the figures themselves are pinned exactly.
+    """
+
+    def test_thermal_lowers_max_and_avg_temperature(self, table2_full):
+        reductions = table2_reductions(table2_full)
+        assert reductions["max_temp_reduction"] > 0.0
+        assert reductions["avg_temp_reduction"] > 0.0
+        assert round(reductions["max_temp_reduction"], 2) == 4.68
+        assert round(reductions["avg_temp_reduction"], 2) == 5.06
+
+    def test_every_row_meets_deadline(self, table2_full):
+        assert len(table2_full) == 8
+        for row in table2_full:
+            assert row["meets_deadline"], (row["benchmark"], row["approach"])
 
 
 class TestTable3:

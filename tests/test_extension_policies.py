@@ -2,15 +2,11 @@
 
 import pytest
 
-from repro.core.heuristics import ThermalPolicy
-from repro.core.thermal_loop import thermal_scheduler
+from repro.core.heuristics import POLICY_NAMES, ThermalPolicy, policy_by_name
+from repro.core.scheduler import ListScheduler
 from repro.errors import SchedulingError
-from repro.extensions.policies import (
-    EXTENDED_POLICY_NAMES,
-    HybridThermalPolicy,
-    ThermalPeakPolicy,
-    extended_policy_by_name,
-)
+from repro.extensions.policies import HybridThermalPolicy, ThermalPeakPolicy
+from repro.floorplan.platform import platform_floorplan
 from repro.library.presets import default_platform
 from repro.power.model import PowerAccumulator
 from repro.thermal.hotspot import HotSpotModel
@@ -101,37 +97,47 @@ class TestHybridPolicy:
             HybridThermalPolicy(peak_fraction=-0.1)
 
 
+#: The thermal policy variants and the classes the core registry maps them to.
+THERMAL_VARIANTS = {
+    "thermal": ThermalPolicy,
+    "thermal-peak": ThermalPeakPolicy,
+    "thermal-hybrid": HybridThermalPolicy,
+}
+
+
 class TestRegistryAndScheduling:
     def test_registry_names(self):
-        assert set(EXTENDED_POLICY_NAMES) == {
-            "thermal",
-            "thermal-peak",
-            "thermal-hybrid",
-        }
+        assert set(THERMAL_VARIANTS) <= set(POLICY_NAMES)
+        for name, cls in THERMAL_VARIANTS.items():
+            assert type(policy_by_name(name)) is cls
 
     def test_lookup_with_weight(self):
-        policy = extended_policy_by_name("thermal-peak", weight=3.0)
+        policy = policy_by_name("thermal-peak", weight=3.0)
         assert policy.weight == 3.0
 
     def test_unknown_rejected(self):
         with pytest.raises(SchedulingError):
-            extended_policy_by_name("thermal-voodoo")
+            policy_by_name("thermal-voodoo")
 
     def test_all_variants_produce_valid_schedules(self, bm1, bm1_library):
         platform = default_platform()
-        scheduler = thermal_scheduler(bm1, platform, bm1_library)
-        for name in EXTENDED_POLICY_NAMES:
-            schedule = scheduler.run(extended_policy_by_name(name))
+        scheduler = ListScheduler(
+            bm1, platform, bm1_library,
+            thermal=HotSpotModel(platform_floorplan(platform)),
+        )
+        for name in THERMAL_VARIANTS:
+            schedule = scheduler.run(policy_by_name(name))
             schedule.validate(bm1_library)
             assert schedule.meets_deadline, name
 
     def test_peak_variant_no_worse_on_peak_metric(self, bm1, bm1_library):
         from repro.analysis.metrics import evaluate_schedule
-        from repro.floorplan.platform import platform_floorplan
 
         platform = default_platform()
         plan = platform_floorplan(platform)
-        scheduler = thermal_scheduler(bm1, platform, bm1_library, floorplan=plan)
+        scheduler = ListScheduler(
+            bm1, platform, bm1_library, thermal=HotSpotModel(plan)
+        )
         avg_pol = scheduler.run(ThermalPolicy())
         peak_pol = scheduler.run(ThermalPeakPolicy())
         eval_avg = evaluate_schedule(avg_pol, floorplan=plan)

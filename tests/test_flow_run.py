@@ -1,13 +1,17 @@
-"""The Flow facade: equivalence with legacy entry points, registries,
+"""The Flow facade: equivalence with the hand-composed flows, registries,
 post-passes, and the acceptance round-trip (spec -> json -> spec -> run).
 """
 
 import pytest
 
 from repro import (
+    HotSpotModel,
+    ListScheduler,
     benchmark,
+    default_platform,
+    evaluate_schedule,
     library_for_graph,
-    platform_flow,
+    platform_floorplan,
     policy_by_name,
 )
 from repro.cosynth.framework import CoSynthesisConfig, CoSynthesisFramework
@@ -43,6 +47,16 @@ def round_trip(spec: FlowSpec) -> FlowSpec:
     return FlowSpec.from_json(spec.to_json())
 
 
+def reference_platform(graph, library, policy):
+    """Figure 1b composed by hand: HotSpot -> ListScheduler -> evaluation."""
+    architecture = default_platform()
+    hotspot = HotSpotModel(platform_floorplan(architecture))
+    schedule = ListScheduler(graph, architecture, library, thermal=hotspot).run(
+        policy
+    )
+    return schedule, evaluate_schedule(schedule, hotspot=hotspot)
+
+
 @pytest.fixture(scope="module")
 def bm1():
     graph = benchmark("Bm1")
@@ -50,22 +64,23 @@ def bm1():
 
 
 class TestPlatformEquivalence:
-    """Acceptance: byte-identical evaluations vs the legacy platform flow."""
+    """Acceptance: byte-identical evaluations vs the hand-composed
+    platform flow."""
 
     @pytest.mark.parametrize("policy", ["baseline", "heuristic3", "thermal"])
     def test_platform_flow_equivalence_bm1(self, bm1, policy):
         graph, library = bm1
-        legacy = platform_flow(graph, library, policy_by_name(policy))
+        _, reference = reference_platform(graph, library, policy_by_name(policy))
         result = Flow().run(round_trip(platform_spec("Bm1", policy=policy)))
-        assert result.evaluation == legacy.evaluation
+        assert result.evaluation == reference
 
     @pytest.mark.parametrize("name", ["Bm2", "Bm3", "Bm4"])
     def test_platform_flow_equivalence_suite(self, name):
         graph = benchmark(name)
         library = library_for_graph(graph)
-        legacy = platform_flow(graph, library, policy_by_name("thermal"))
+        _, reference = reference_platform(graph, library, policy_by_name("thermal"))
         result = run_flow(round_trip(platform_spec(name, policy="thermal")))
-        assert result.evaluation == legacy.evaluation
+        assert result.evaluation == reference
 
     def test_result_carries_provenance_and_timings(self):
         result = run_flow(platform_spec("Bm1", policy="heuristic3"))
@@ -148,10 +163,8 @@ class TestCosynthesisEquivalence:
 class TestPostPasses:
     def test_dvfs_pass_matches_legacy_reclaim(self, bm1):
         graph, library = bm1
-        legacy_schedule = platform_flow(
-            graph, library, policy_by_name("thermal")
-        ).schedule
-        legacy = reclaim_slack(legacy_schedule)
+        schedule, _ = reference_platform(graph, library, policy_by_name("thermal"))
+        legacy = reclaim_slack(schedule)
         result = run_flow(
             round_trip(
                 platform_spec("Bm1", policy="thermal", dvfs=DVFSSpec(enabled=True))

@@ -2,20 +2,11 @@
 
 import pytest
 
-from repro.core.heuristics import (
-    BaselinePolicy,
-    TaskEnergyPolicy,
-    ThermalPolicy,
-)
-from repro.cosynth.framework import (
-    CoSynthesisConfig,
-    CoSynthesisFramework,
-    platform_flow,
-    power_aware_cosynthesis,
-    thermal_aware_cosynthesis,
-)
+from repro.core.heuristics import TaskEnergyPolicy
+from repro.cosynth.framework import CoSynthesisConfig, CoSynthesisFramework
 from repro.errors import CoSynthesisError
 from repro.floorplan.genetic import GeneticConfig
+from repro.flow import cosynthesis_spec, platform_spec, run_flow
 
 #: A deliberately small search so framework tests stay fast.
 FAST = CoSynthesisConfig(
@@ -26,9 +17,23 @@ FAST = CoSynthesisConfig(
 )
 
 
+def power_aware():
+    """Power-aware co-synthesis of Bm1: heuristic 3, power final cost."""
+    return run_flow(
+        cosynthesis_spec("Bm1", policy="heuristic3", config=FAST, final_cost="power")
+    )
+
+
+def thermal_aware():
+    """Thermal-aware co-synthesis of Bm1 (Figure 1a)."""
+    return run_flow(
+        cosynthesis_spec("Bm1", policy="thermal", config=FAST, final_cost="thermal")
+    )
+
+
 class TestPowerAwareCosynthesis:
-    def test_returns_complete_design(self, bm1, bm1_library):
-        result = power_aware_cosynthesis(bm1, bm1_library, config=FAST)
+    def test_returns_complete_design(self, bm1_library):
+        result = power_aware()
         result.schedule.validate(bm1_library)
         result.floorplan.validate()
         assert set(result.floorplan.block_names()) >= {
@@ -36,40 +41,43 @@ class TestPowerAwareCosynthesis:
         }
         assert result.meets_deadline
 
-    def test_search_diagnostics(self, bm1, bm1_library):
-        result = power_aware_cosynthesis(bm1, bm1_library, config=FAST)
-        assert result.candidates_screened > result.candidates_evaluated
-        assert result.candidates_evaluated <= FAST.screening_keep
-        assert len(result.screening_rows) == result.candidates_screened
+    def test_search_diagnostics(self):
+        diagnostics = power_aware().diagnostics
+        screened = diagnostics["candidates_screened"]
+        assert screened > diagnostics["candidates_evaluated"]
+        assert diagnostics["candidates_evaluated"] <= FAST.screening_keep
+        assert len(diagnostics["screening_rows"]) == screened
 
-    def test_deterministic(self, bm1, bm1_library):
-        a = power_aware_cosynthesis(bm1, bm1_library, config=FAST)
-        b = power_aware_cosynthesis(bm1, bm1_library, config=FAST)
+    def test_deterministic(self):
+        a = power_aware()
+        b = power_aware()
         assert a.architecture.name == b.architecture.name
         assert a.evaluation.total_power == pytest.approx(b.evaluation.total_power)
 
-    def test_default_policy_is_h3(self, bm1, bm1_library):
-        result = power_aware_cosynthesis(bm1, bm1_library, config=FAST)
+    def test_default_policy_is_h3(self):
+        result = power_aware()
         assert result.schedule.policy_name == "heuristic3"
 
 
 class TestThermalAwareCosynthesis:
-    def test_returns_thermal_schedule(self, bm1, bm1_library):
-        result = thermal_aware_cosynthesis(bm1, bm1_library, config=FAST)
+    def test_returns_thermal_schedule(self):
+        result = thermal_aware()
         # the Figure-1a backoff may reduce the weight but keeps the policy
         assert result.schedule.policy_name == "thermal"
         assert result.meets_deadline
 
-    def test_beats_power_aware_on_combined_temperature(self, bm1, bm1_library):
+    def test_beats_power_aware_on_combined_temperature(self):
         """Table 2's shape on one benchmark (fast search).
 
-        The reduced search budget can trade a fraction of a degree between
-        the two temperature metrics, so the fast test asserts on the
-        thermal flow's actual objective (max + avg); the full-budget
-        benchmark harness shows wins on both metrics separately.
+        A single benchmark can trade a fraction of a degree between the
+        two temperature metrics, so this asserts on the thermal flow's
+        actual objective (max + avg).  Even the full budget does not win
+        both metrics separately on every benchmark: Bm1's average goes
+        the other way by 0.09 C.  Only the aggregate over Bm1-Bm4 lowers
+        both (pinned by ``test_experiments.py::TestTable2Fidelity``).
         """
-        power = power_aware_cosynthesis(bm1, bm1_library, config=FAST)
-        thermal = thermal_aware_cosynthesis(bm1, bm1_library, config=FAST)
+        power = power_aware()
+        thermal = thermal_aware()
         power_combined = (
             power.evaluation.max_temperature + power.evaluation.avg_temperature
         )
@@ -103,21 +111,21 @@ class TestFrameworkMechanics:
 
 
 class TestPlatformFlow:
-    def test_default_platform_is_four_identical(self, bm1, bm1_library):
-        result = platform_flow(bm1, bm1_library, BaselinePolicy())
+    def test_default_platform_is_four_identical(self):
+        result = run_flow(platform_spec("Bm1", policy="baseline"))
         assert len(result.architecture) == 4
         assert len(set(pe.type_name for pe in result.architecture)) == 1
 
-    def test_all_policies_meet_deadlines(self, bm1, bm1_library):
-        for policy in (BaselinePolicy(), TaskEnergyPolicy(), ThermalPolicy()):
-            result = platform_flow(bm1, bm1_library, policy)
+    def test_all_policies_meet_deadlines(self, bm1_library):
+        for policy in ("baseline", "heuristic3", "thermal"):
+            result = run_flow(platform_spec("Bm1", policy=policy))
             assert result.meets_deadline
             result.schedule.validate(bm1_library)
 
-    def test_thermal_beats_h3_on_platform(self, bm1, bm1_library):
+    def test_thermal_beats_h3_on_platform(self):
         """Table 3's shape on one benchmark."""
-        power = platform_flow(bm1, bm1_library, TaskEnergyPolicy())
-        thermal = platform_flow(bm1, bm1_library, ThermalPolicy())
+        power = run_flow(platform_spec("Bm1", policy="heuristic3"))
+        thermal = run_flow(platform_spec("Bm1", policy="thermal"))
         assert (
             thermal.evaluation.avg_temperature
             < power.evaluation.avg_temperature
@@ -127,16 +135,12 @@ class TestPlatformFlow:
             < power.evaluation.max_temperature
         )
 
-    def test_custom_architecture(self, bm1, bm1_library):
-        from repro.library.presets import default_platform
-
-        result = platform_flow(
-            bm1, bm1_library, BaselinePolicy(), architecture=default_platform(2)
-        )
+    def test_custom_architecture(self):
+        result = run_flow(platform_spec("Bm1", policy="baseline", count=2))
         assert len(result.architecture) == 2
 
-    def test_evaluation_consistency(self, bm1, bm1_library):
-        result = platform_flow(bm1, bm1_library, BaselinePolicy())
+    def test_evaluation_consistency(self):
+        result = run_flow(platform_spec("Bm1", policy="baseline"))
         evaluation = result.evaluation
         assert evaluation.total_power == pytest.approx(
             sum(evaluation.pe_powers.values())

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.gantt import render_floorplan, render_gantt, render_utilisation
-from repro.core.scheduler import schedule_graph
+from repro.core.scheduler import ListScheduler
 from repro.errors import ReproError
 from repro.floorplan.geometry import Floorplan
 from repro.library.presets import default_platform
@@ -11,7 +11,7 @@ from repro.library.presets import default_platform
 
 @pytest.fixture
 def schedule(bm1, bm1_library):
-    return schedule_graph(bm1, default_platform(), bm1_library)
+    return ListScheduler(bm1, default_platform(), bm1_library).run()
 
 
 class TestGantt:

@@ -6,15 +6,14 @@ from repro import (
     BaselinePolicy,
     GraphSpec,
     HotSpotModel,
+    ListScheduler,
     TaskEnergyPolicy,
     ThermalPolicy,
     default_platform,
     evaluate_schedule,
     generate_task_graph,
     generate_technology_library,
-    platform_flow,
     platform_floorplan,
-    schedule_graph,
 )
 from repro.analysis.compare import spearman_rank_correlation
 from repro.thermal.gridmodel import GridModel
@@ -30,12 +29,20 @@ def custom_workload():
     return graph, library
 
 
+def run_platform(graph, library, policy):
+    """Figure 1b by hand: the default platform, HotSpot in the ASP loop."""
+    platform = default_platform()
+    model = HotSpotModel(platform_floorplan(platform))
+    schedule = ListScheduler(graph, platform, library, thermal=model).run(policy)
+    return schedule, evaluate_schedule(schedule, hotspot=model)
+
+
 class TestFullPipeline:
     def test_schedule_trace_transient_chain(self, custom_workload):
         """Schedule -> power trace -> transient replay, all consistent."""
         graph, library = custom_workload
         platform = default_platform()
-        schedule = schedule_graph(graph, platform, library)
+        schedule = ListScheduler(graph, platform, library).run()
         schedule.validate(library)
 
         trace = schedule.power_trace()
@@ -68,42 +75,42 @@ class TestFullPipeline:
 
         block_peaks, grid_peaks = [], []
         for policy in (BaselinePolicy(), TaskEnergyPolicy(), ThermalPolicy()):
-            result = platform_flow(graph, library, policy)
-            powers = result.schedule.average_powers()
-            block_peaks.append(result.evaluation.max_temperature)
+            schedule, evaluation = run_platform(graph, library, policy)
+            powers = schedule.average_powers()
+            block_peaks.append(evaluation.max_temperature)
             grid_peaks.append(max(grid.block_temperatures(powers).values()))
         assert spearman_rank_correlation(block_peaks, grid_peaks) > 0.4
 
     def test_evaluation_matches_scheduler_objective(self, custom_workload):
         """What the thermal policy optimised is what evaluation reports."""
         graph, library = custom_workload
-        result = platform_flow(graph, library, ThermalPolicy())
+        schedule, evaluation = run_platform(graph, library, ThermalPolicy())
         direct = evaluate_schedule(
-            result.schedule, floorplan=result.floorplan
+            schedule, floorplan=platform_floorplan(schedule.architecture)
         )
         assert direct.avg_temperature == pytest.approx(
-            result.evaluation.avg_temperature
+            evaluation.avg_temperature
         )
 
     def test_deadline_tightening_eventually_infeasible(self, custom_workload):
         """Tightening deadlines flips meets_deadline exactly once."""
         graph, library = custom_workload
         platform = default_platform()
-        schedule = schedule_graph(graph, platform, library)
+        schedule = ListScheduler(graph, platform, library).run()
         feasible_at = schedule.makespan
         loose = graph.with_deadline(feasible_at * 1.01)
         tight = graph.with_deadline(feasible_at * 0.5)
-        assert schedule_graph(loose, platform, library).meets_deadline
-        assert not schedule_graph(tight, platform, library).meets_deadline
+        assert ListScheduler(loose, platform, library).run().meets_deadline
+        assert not ListScheduler(tight, platform, library).run().meets_deadline
 
     def test_thermal_policy_flattens_spatial_gradient(self, custom_workload):
         """The 'thermally even distribution' claim, measured on the grid."""
         graph, library = custom_workload
-        baseline = platform_flow(graph, library, BaselinePolicy())
-        thermal = platform_flow(graph, library, ThermalPolicy())
+        _, baseline = run_platform(graph, library, BaselinePolicy())
+        _, thermal = run_platform(graph, library, ThermalPolicy())
 
-        def spread(result):
-            temps = result.evaluation.pe_temperatures
+        def spread(evaluation):
+            temps = evaluation.pe_temperatures
             return max(temps.values()) - min(temps.values())
 
         assert spread(thermal) <= spread(baseline) + 1e-9

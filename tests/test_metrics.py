@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.metrics import evaluate_schedule
-from repro.core.scheduler import schedule_graph
+from repro.core.scheduler import ListScheduler
 from repro.errors import ReproError
 from repro.floorplan.platform import platform_floorplan
 from repro.library.presets import default_platform
@@ -13,7 +13,7 @@ from repro.thermal.hotspot import HotSpotModel
 @pytest.fixture
 def scheduled_bm1(bm1, bm1_library):
     platform = default_platform()
-    schedule = schedule_graph(bm1, platform, bm1_library)
+    schedule = ListScheduler(bm1, platform, bm1_library).run()
     plan = platform_floorplan(platform)
     return schedule, plan
 

@@ -69,21 +69,42 @@ def test_errors_module_documented():
         assert getattr(errors, name).__doc__, name
 
 
-#: Symbols the pre-flow API exported; they must all keep importing.
+#: Symbols the pre-flow API exported that the flow runner is built on;
+#: they must all keep importing.
 LEGACY_SURFACE = [
-    "platform_flow",
-    "power_aware_cosynthesis",
-    "thermal_aware_cosynthesis",
     "CoSynthesisFramework",
     "reclaim_slack",
     "schedule_conditional",
     "policy_by_name",
     "POLICY_NAMES",
-    "PlatformResult",
     "CoSynthesisResult",
     "DVFSResult",
     "explore_allocations",
     "pareto_front",
+]
+
+#: (module, name) pairs of the pre-flow wrappers removed in 2.0.0; see
+#: the "Removed in 2.0.0" table in docs/FLOW_API.md.
+REMOVED_IN_2_0 = [
+    ("repro", "platform_flow"),
+    ("repro", "power_aware_cosynthesis"),
+    ("repro", "thermal_aware_cosynthesis"),
+    ("repro", "PlatformResult"),
+    ("repro", "schedule_graph"),
+    ("repro", "thermal_scheduler"),
+    ("repro.cosynth", "platform_flow"),
+    ("repro.cosynth", "power_aware_cosynthesis"),
+    ("repro.cosynth", "thermal_aware_cosynthesis"),
+    ("repro.cosynth", "PlatformResult"),
+    ("repro.core", "schedule_graph"),
+    ("repro.core", "thermal_scheduler"),
+    ("repro.core", "hotspot_for"),
+    ("repro.experiments", "workload"),
+    ("repro.experiments", "all_workloads"),
+    ("repro.experiments", "WORKLOAD_NAMES"),
+    ("repro.extensions", "extended_policy_by_name"),
+    ("repro.extensions", "EXTENDED_POLICY_NAMES"),
+    ("repro.extensions.policies", "_EXTENDED"),
 ]
 
 
@@ -93,8 +114,21 @@ def test_legacy_surface_still_exported():
     assert set(LEGACY_SURFACE) <= set(repro.__all__)
 
 
+def test_removed_wrappers_are_gone():
+    present = [
+        (module, name)
+        for module, name in REMOVED_IN_2_0
+        if hasattr(importlib.import_module(module), name)
+    ]
+    assert present == []
+    for module in ("repro.core.thermal_loop", "repro.experiments.workloads"):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+
+
 class TestLegacyWrappersMatchFacade:
-    """Deprecated-but-working: legacy entry points == flow facade on Bm1."""
+    """The building blocks the flows run on, composed by hand, equal the
+    flow facade on Bm1."""
 
     @pytest.fixture(scope="class")
     def bm1(self):
@@ -103,16 +137,23 @@ class TestLegacyWrappersMatchFacade:
 
     def test_platform_flow_matches_facade(self, bm1):
         graph, library = bm1
-        legacy = repro.platform_flow(graph, library, repro.ThermalPolicy())
+        architecture = repro.default_platform()
+        hotspot = repro.HotSpotModel(repro.platform_floorplan(architecture))
+        schedule = repro.ListScheduler(
+            graph, architecture, library, thermal=hotspot
+        ).run(repro.ThermalPolicy())
+        reference = repro.evaluate_schedule(schedule, hotspot=hotspot)
         facade = repro.run_flow(repro.platform_spec("Bm1", policy="thermal"))
-        assert legacy.evaluation == facade.evaluation
-        assert legacy.architecture.name == facade.architecture.name
+        assert reference == facade.evaluation
+        assert architecture.name == facade.architecture.name
 
     def test_reclaim_slack_matches_facade(self, bm1):
         graph, library = bm1
-        schedule = repro.platform_flow(
-            graph, library, repro.ThermalPolicy()
-        ).schedule
+        architecture = repro.default_platform()
+        hotspot = repro.HotSpotModel(repro.platform_floorplan(architecture))
+        schedule = repro.ListScheduler(
+            graph, architecture, library, thermal=hotspot
+        ).run(repro.ThermalPolicy())
         legacy = repro.reclaim_slack(schedule)
         facade = repro.run_flow(
             repro.platform_spec(
@@ -124,6 +165,7 @@ class TestLegacyWrappersMatchFacade:
         assert legacy.makespan_after == pytest.approx(facade.dvfs.makespan_after)
 
     def test_thermal_aware_cosynthesis_matches_facade(self, bm1):
+        from repro.cosynth.cost import thermal_final_cost
         from repro.cosynth.framework import CoSynthesisConfig
         from repro.floorplan.genetic import GeneticConfig
 
@@ -134,7 +176,9 @@ class TestLegacyWrappersMatchFacade:
             refine_iterations=1,
             genetic_config=GeneticConfig(population_size=8, generations=4),
         )
-        legacy = repro.thermal_aware_cosynthesis(graph, library, config=fast)
+        legacy = repro.CoSynthesisFramework(config=fast).run(
+            graph, library, repro.ThermalPolicy(), final_cost=thermal_final_cost()
+        )
         facade = repro.run_flow(
             repro.cosynthesis_spec(
                 "Bm1", policy="thermal", config=fast, final_cost="thermal"

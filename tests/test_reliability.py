@@ -76,11 +76,10 @@ class TestReport:
 
     def test_thermal_aware_schedule_lives_longer(self, bm1, bm1_library):
         """End-to-end: the paper's reliability motivation, quantified."""
-        from repro.core.heuristics import BaselinePolicy, ThermalPolicy
-        from repro.cosynth.framework import platform_flow
+        from repro.flow import platform_spec, run_flow
 
-        base = platform_flow(bm1, bm1_library, BaselinePolicy())
-        thermal = platform_flow(bm1, bm1_library, ThermalPolicy())
+        base = run_flow(platform_spec("Bm1", policy="baseline"))
+        thermal = run_flow(platform_spec("Bm1", policy="thermal"))
         report_base = reliability_report(base.evaluation.pe_temperatures)
         report_thermal = reliability_report(thermal.evaluation.pe_temperatures)
         assert (

@@ -9,17 +9,18 @@ from repro.core.heuristics import (
     TaskPowerPolicy,
     ThermalPolicy,
 )
-from repro.core.scheduler import ListScheduler, schedule_graph
-from repro.core.thermal_loop import thermal_scheduler
+from repro.core.scheduler import ListScheduler
 from repro.errors import (
     DeadlineMissError,
     InfeasibleAllocationError,
     UnknownTaskTypeError,
 )
+from repro.floorplan.platform import platform_floorplan
 from repro.library.pe import Architecture, PEType
 from repro.library.presets import default_platform
 from repro.library.technology import TechnologyLibrary
 from repro.taskgraph.graph import TaskGraph
+from repro.thermal.hotspot import HotSpotModel
 
 
 @pytest.fixture
@@ -52,13 +53,13 @@ def fan_graph(width=4, deadline=400.0):
 class TestBasicCorrectness:
     def test_schedule_is_complete_and_valid(self, two_pe_arch, simple_lib):
         graph = fan_graph()
-        schedule = schedule_graph(graph, two_pe_arch, simple_lib)
+        schedule = ListScheduler(graph, two_pe_arch, simple_lib).run()
         assert len(schedule) == graph.num_tasks
         schedule.validate(simple_lib)
 
     def test_policy_name_recorded(self, two_pe_arch, simple_lib):
-        schedule = schedule_graph(
-            fan_graph(), two_pe_arch, simple_lib, TaskEnergyPolicy()
+        schedule = ListScheduler(fan_graph(), two_pe_arch, simple_lib).run(
+            TaskEnergyPolicy()
         )
         assert schedule.policy_name == "heuristic3"
 
@@ -67,7 +68,7 @@ class TestBasicCorrectness:
         graph.add("a", "t0")
         graph.add("b", "t0")
         graph.add_edge("a", "b")
-        schedule = schedule_graph(graph, two_pe_arch, simple_lib)
+        schedule = ListScheduler(graph, two_pe_arch, simple_lib).run()
         a, b = schedule.assignment("a"), schedule.assignment("b")
         assert b.start >= a.end
 
@@ -77,23 +78,23 @@ class TestBasicCorrectness:
         # a single task: DC = SC - wcet - start; the fast PE wins
         graph = TaskGraph("one", 100.0)
         graph.add("only", "t0")
-        schedule = schedule_graph(graph, two_pe_arch, simple_lib)
+        schedule = ListScheduler(graph, two_pe_arch, simple_lib).run()
         assert schedule.assignment("only").pe == "pe0"
 
     def test_parallel_tasks_use_both_pes(self, two_pe_arch, simple_lib):
-        schedule = schedule_graph(fan_graph(width=4), two_pe_arch, simple_lib)
+        schedule = ListScheduler(fan_graph(width=4), two_pe_arch, simple_lib).run()
         used = {a.pe for a in schedule}
         assert used == {"pe0", "pe1"}
 
     def test_deterministic(self, two_pe_arch, simple_lib):
-        a = schedule_graph(fan_graph(), two_pe_arch, simple_lib)
-        b = schedule_graph(fan_graph(), two_pe_arch, simple_lib)
+        a = ListScheduler(fan_graph(), two_pe_arch, simple_lib).run()
+        b = ListScheduler(fan_graph(), two_pe_arch, simple_lib).run()
         assert [(x.task, x.pe, x.start) for x in a.assignments()] == [
             (x.task, x.pe, x.start) for x in b.assignments()
         ]
 
     def test_durations_and_powers_match_library(self, two_pe_arch, simple_lib):
-        schedule = schedule_graph(fan_graph(), two_pe_arch, simple_lib)
+        schedule = ListScheduler(fan_graph(), two_pe_arch, simple_lib).run()
         for assignment in schedule:
             pe = two_pe_arch.pe(assignment.pe)
             task_type = "t0" if assignment.task == "src" else "t1"
@@ -123,7 +124,7 @@ class TestFeasibilityChecks:
 
     def test_deadline_not_checked_by_default(self, two_pe_arch, simple_lib):
         graph = fan_graph(width=6, deadline=20.0)
-        schedule = schedule_graph(graph, two_pe_arch, simple_lib)
+        schedule = ListScheduler(graph, two_pe_arch, simple_lib).run()
         assert not schedule.meets_deadline
 
     def test_thermal_policy_without_model_raises(self, two_pe_arch, simple_lib):
@@ -137,8 +138,8 @@ class TestHeterogeneousChoices:
         # one task, huge weight: slow PE draws 3 W vs fast 8 W
         graph = TaskGraph("one", 1000.0)
         graph.add("only", "t0")
-        schedule = schedule_graph(
-            graph, two_pe_arch, simple_lib, TaskPowerPolicy(weight=100.0)
+        schedule = ListScheduler(graph, two_pe_arch, simple_lib).run(
+            TaskPowerPolicy(weight=100.0)
         )
         assert schedule.assignment("only").pe == "pe1"
 
@@ -146,17 +147,14 @@ class TestHeterogeneousChoices:
         # t0: fast = 10*8 = 80 J, slow = 20*3 = 60 J
         graph = TaskGraph("one", 1000.0)
         graph.add("only", "t0")
-        schedule = schedule_graph(
-            graph, two_pe_arch, simple_lib, TaskEnergyPolicy(weight=10.0)
+        schedule = ListScheduler(graph, two_pe_arch, simple_lib).run(
+            TaskEnergyPolicy(weight=10.0)
         )
         assert schedule.assignment("only").pe == "pe1"
 
     def test_h2_balances_energy_across_pes(self, two_pe_arch, simple_lib):
-        schedule = schedule_graph(
-            fan_graph(width=6),
-            two_pe_arch,
-            simple_lib,
-            CumulativePowerPolicy(weight=50.0),
+        schedule = ListScheduler(fan_graph(width=6), two_pe_arch, simple_lib).run(
+            CumulativePowerPolicy(weight=50.0)
         )
         counts = schedule.pe_task_counts()
         assert counts["pe1"] >= 2  # the slow PE gets meaningful work
@@ -165,7 +163,10 @@ class TestHeterogeneousChoices:
 class TestThermalScheduling:
     def test_thermal_scheduler_runs_thermal_policy(self, bm1, bm1_library):
         platform = default_platform()
-        scheduler = thermal_scheduler(bm1, platform, bm1_library)
+        scheduler = ListScheduler(
+            bm1, platform, bm1_library,
+            thermal=HotSpotModel(platform_floorplan(platform)),
+        )
         schedule = scheduler.run(ThermalPolicy())
         schedule.validate(bm1_library)
         assert schedule.policy_name == "thermal"
@@ -173,11 +174,12 @@ class TestThermalScheduling:
     def test_thermal_beats_baseline_on_avg_temperature(self, bm1, bm1_library):
         """The paper's core claim on the platform architecture."""
         from repro.analysis.metrics import evaluate_schedule
-        from repro.floorplan.platform import platform_floorplan
 
         platform = default_platform()
         plan = platform_floorplan(platform)
-        scheduler = thermal_scheduler(bm1, platform, bm1_library, floorplan=plan)
+        scheduler = ListScheduler(
+            bm1, platform, bm1_library, thermal=HotSpotModel(plan)
+        )
         baseline = scheduler.run(BaselinePolicy())
         thermal = scheduler.run(ThermalPolicy())
         eval_base = evaluate_schedule(baseline, floorplan=plan)
@@ -191,6 +193,6 @@ class TestThermalScheduling:
         platform = default_platform()
         for graph, library in ((bm1, bm1_library), (bm2, bm2_library)):
             for policy in (BaselinePolicy(), TaskEnergyPolicy()):
-                schedule = schedule_graph(graph, platform, library, policy)
+                schedule = ListScheduler(graph, platform, library).run(policy)
                 assert schedule.meets_deadline
                 schedule.validate(library)

@@ -11,11 +11,13 @@ the grid-model solver, plus the Bm1 schedule itself as a hard snapshot.
 import pytest
 
 from repro.core.heuristics import ThermalPolicy
-from repro.core.thermal_loop import thermal_scheduler
+from repro.core.scheduler import ListScheduler
 from repro.extensions.policies import HybridThermalPolicy, ThermalPeakPolicy
+from repro.floorplan.platform import platform_floorplan
 from repro.library.presets import default_platform, library_for_graph
 from repro.taskgraph.benchmarks import benchmark
 from repro.taskgraph.generator import generate_family_graph
+from repro.thermal.hotspot import HotSpotModel
 
 THERMAL_POLICIES = [ThermalPolicy, ThermalPeakPolicy, HybridThermalPolicy]
 
@@ -25,6 +27,13 @@ def assignments(schedule):
         (a.task, a.pe, a.start, a.end, a.power)
         for a in schedule.assignments()
     ]
+
+
+def platform_scheduler(graph, library):
+    """The ASP on the default platform with its HotSpot model attached."""
+    architecture = default_platform()
+    model = HotSpotModel(platform_floorplan(architecture))
+    return ListScheduler(graph, architecture, library, thermal=model)
 
 
 def assert_decision_identical(scheduler, policy_cls):
@@ -56,9 +65,7 @@ BM1_THERMAL_ASSIGNMENTS = [
 
 def test_bm1_thermal_schedule_pinned_to_seed():
     graph = benchmark("Bm1")
-    scheduler = thermal_scheduler(
-        graph, default_platform(), library_for_graph(graph)
-    )
+    scheduler = platform_scheduler(graph, library_for_graph(graph))
     schedule = scheduler.run(ThermalPolicy())
     assert [
         (a.task, a.pe) for a in schedule.assignments()
@@ -69,9 +76,7 @@ def test_bm1_thermal_schedule_pinned_to_seed():
 @pytest.mark.parametrize("policy_cls", THERMAL_POLICIES)
 def test_paper_benchmarks_decision_identical(bm, policy_cls):
     graph = benchmark(bm)
-    scheduler = thermal_scheduler(
-        graph, default_platform(), library_for_graph(graph)
-    )
+    scheduler = platform_scheduler(graph, library_for_graph(graph))
     assert_decision_identical(scheduler, policy_cls)
 
 
@@ -79,17 +84,13 @@ def test_paper_benchmarks_decision_identical(bm, policy_cls):
 @pytest.mark.parametrize("seed", [3, 11])
 def test_generated_workloads_decision_identical(family, seed):
     graph = generate_family_graph(family, tasks=24, seed=seed)
-    scheduler = thermal_scheduler(
-        graph, default_platform(), library_for_graph(graph)
-    )
+    scheduler = platform_scheduler(graph, library_for_graph(graph))
     assert_decision_identical(scheduler, ThermalPolicy)
 
 
 def test_gridmodel_solver_decision_identical(bm1, bm1_library):
     from repro.flow.registry import THERMAL_SOLVERS
     from repro.flow.spec import ThermalSpec
-    from repro.core.scheduler import ListScheduler
-    from repro.floorplan.platform import platform_floorplan
     from repro.thermal.package import default_package
 
     architecture = default_platform()
@@ -104,7 +105,7 @@ def test_gridmodel_solver_decision_identical(bm1, bm1_library):
 
 def test_fast_path_reduces_solver_solves(bm1, bm1_library):
     """A full thermal ASP run needs far fewer backsolves than candidates."""
-    scheduler = thermal_scheduler(bm1, default_platform(), bm1_library)
+    scheduler = platform_scheduler(bm1, bm1_library)
     model = scheduler.thermal
     before = model.query_stats["solver_solves"]
     scheduler.run(ThermalPolicy())
@@ -130,11 +131,8 @@ def test_fast_path_skipped_without_query_engine(bm1, bm1_library):
         def peak_temperature(self, powers):
             return self._inner.peak_temperature(powers)
 
-    from repro.core.scheduler import ListScheduler
-    from repro.core.thermal_loop import hotspot_for
-
     architecture = default_platform()
-    inner = hotspot_for(architecture)
+    inner = HotSpotModel(platform_floorplan(architecture))
     scheduler = ListScheduler(
         bm1, architecture, bm1_library, thermal=OpaqueModel(inner)
     )
@@ -142,17 +140,15 @@ def test_fast_path_skipped_without_query_engine(bm1, bm1_library):
     assert scheduler.last_run_stats["thermal_fast_path"] == 0
     assert scheduler.last_run_stats["thermal_fast_queries"] == 0
 
-    reference = thermal_scheduler(bm1, architecture, bm1_library).run(
-        ThermalPolicy()
-    )
+    reference = ListScheduler(
+        bm1, architecture, bm1_library, thermal=HotSpotModel(inner.floorplan)
+    ).run(ThermalPolicy())
     assert assignments(schedule) == assignments(reference)
 
 
 def test_many_to_one_mapping_falls_back(bm1, bm1_library):
     """A many-to-one PE->block mapping disables the fast path, not the run."""
-    from repro.core.scheduler import ListScheduler
     from repro.floorplan.geometry import Floorplan
-    from repro.thermal.hotspot import HotSpotModel
 
     architecture = default_platform()
     plan = Floorplan()

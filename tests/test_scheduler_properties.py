@@ -17,10 +17,11 @@ from repro.core.heuristics import (
     ThermalPolicy,
 )
 from repro.core.scheduler import ListScheduler
-from repro.core.thermal_loop import thermal_scheduler
+from repro.floorplan.platform import platform_floorplan
 from repro.library.pe import Architecture
 from repro.library.presets import default_catalogue, generate_technology_library
 from repro.taskgraph.generator import GraphSpec, generate_task_graph
+from repro.thermal.hotspot import HotSpotModel
 
 CATALOGUE = default_catalogue()
 POLICIES = [
@@ -79,7 +80,8 @@ def test_schedule_always_valid(workload, arch, policy_index):
 @settings(max_examples=15, deadline=None)
 def test_thermal_schedule_always_valid(workload, arch):
     graph, library = workload
-    scheduler = thermal_scheduler(graph, arch, library)
+    model = HotSpotModel(platform_floorplan(arch))
+    scheduler = ListScheduler(graph, arch, library, thermal=model)
     schedule = scheduler.run(ThermalPolicy())
     schedule.validate(library)
 

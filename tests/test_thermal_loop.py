@@ -1,4 +1,9 @@
-"""Tests for HotSpot-in-the-loop scheduler construction and the CLI."""
+"""Tests for HotSpot-in-the-loop scheduler construction and the CLI.
+
+The platform flow (Figure 1b) attaches a :class:`HotSpotModel` of the
+fixed floorplan to the :class:`ListScheduler`; these tests pin that
+composition directly.
+"""
 
 import subprocess
 import sys
@@ -6,16 +11,16 @@ import sys
 import pytest
 
 from repro.core.heuristics import BaselinePolicy, ThermalPolicy
-from repro.core.thermal_loop import hotspot_for, thermal_scheduler
+from repro.core.scheduler import ListScheduler
 from repro.errors import ThermalError
 from repro.floorplan.geometry import Floorplan
 from repro.floorplan.platform import platform_floorplan
-from repro.library.presets import default_platform
+from repro.thermal.hotspot import HotSpotModel
 
 
 class TestHotspotFor:
     def test_default_floorplan_is_platform_layout(self, platform4):
-        model = hotspot_for(platform4)
+        model = HotSpotModel(platform_floorplan(platform4))
         reference = platform_floorplan(platform4)
         assert model.block_names == reference.block_names()
 
@@ -25,34 +30,40 @@ class TestHotspotFor:
         for pe in platform4:
             plan.place(pe.name, x, 0.0, 7.0, 7.0)  # custom oversized blocks
             x += 7.0
-        model = hotspot_for(platform4, floorplan=plan)
+        model = HotSpotModel(plan)
         assert model.floorplan is plan
+        assert model.block_names == [pe.name for pe in platform4]
 
-    def test_missing_pe_block_rejected(self, platform4):
+    def test_missing_pe_block_rejected(self, bm1, bm1_library, platform4):
         plan = Floorplan()
         plan.place("pe0", 0, 0, 6, 6)  # only one of four PEs
-        with pytest.raises(ThermalError, match="lacks blocks"):
-            hotspot_for(platform4, floorplan=plan)
+        scheduler = ListScheduler(
+            bm1, platform4, bm1_library, thermal=HotSpotModel(plan)
+        )
+        with pytest.raises(ThermalError, match="unknown block"):
+            scheduler.run(ThermalPolicy())
 
     def test_custom_package(self, platform4):
         from repro.thermal.package import PackageConfig
 
         package = PackageConfig(convection_resistance=4.0)
-        model = hotspot_for(platform4, package=package)
-        hot = model.peak_temperature({"pe0": 10.0})
-        default_hot = hotspot_for(platform4).peak_temperature({"pe0": 10.0})
+        plan = platform_floorplan(platform4)
+        hot = HotSpotModel(plan, package).peak_temperature({"pe0": 10.0})
+        default_hot = HotSpotModel(plan).peak_temperature({"pe0": 10.0})
         assert hot > default_hot  # worse cooling = hotter
 
 
 class TestThermalScheduler:
     def test_runs_all_policy_kinds(self, bm1, bm1_library, platform4):
-        scheduler = thermal_scheduler(bm1, platform4, bm1_library)
+        model = HotSpotModel(platform_floorplan(platform4))
+        scheduler = ListScheduler(bm1, platform4, bm1_library, thermal=model)
         for policy in (BaselinePolicy(), ThermalPolicy()):
             schedule = scheduler.run(policy)
             schedule.validate(bm1_library)
 
     def test_scheduler_reusable_across_policies(self, bm1, bm1_library, platform4):
-        scheduler = thermal_scheduler(bm1, platform4, bm1_library)
+        model = HotSpotModel(platform_floorplan(platform4))
+        scheduler = ListScheduler(bm1, platform4, bm1_library, thermal=model)
         first = scheduler.run(ThermalPolicy())
         second = scheduler.run(ThermalPolicy())
         assert [(a.task, a.pe) for a in first.assignments()] == [
