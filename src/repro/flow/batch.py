@@ -26,13 +26,18 @@ expensive and fully deterministic.  The batch layer therefore
 Results come back in input order, provenance marked with
 ``cache_hit``/``worker`` so callers can audit what actually ran.
 
-With a :class:`~repro.resilience.RetryPolicy` passed as ``retry``, the
-sweep also *survives*: a crashed pool worker (``BrokenProcessPool``)
-restarts the pool and resubmits the in-flight window, a spec that
-exceeds the per-spec wait budget (``timeout_s``) is resubmitted, and a
-spec that exhausts its attempts is **quarantined** into the
-:class:`~repro.resilience.RunReport` — its indices yield nothing and
-the rest of the sweep completes — instead of aborting everything.
+Serial runs use an in-process executor behind the pool's
+``submit``/``result`` interface, so one windowed consumption loop and
+one attempt → quarantine → backoff ladder serve both modes.  With a
+:class:`~repro.resilience.RetryPolicy` passed as ``retry``, the sweep
+also *survives*: a lost worker is resubmitted — a crashed pool child
+(``BrokenProcessPool``) restarts the pool and resubmits the in-flight
+window; serially a crash is an injected ``InjectedFaultError`` — a spec
+that exceeds the per-spec wait budget (``timeout_s``, pool only;
+ignored serially) is resubmitted, and a spec that exhausts its attempts
+is **quarantined** into the :class:`~repro.resilience.RunReport` — its
+indices yield nothing and the rest of the sweep completes — instead of
+aborting everything.
 Without ``retry`` the failure behaviour is unchanged (first error
 propagates), and fault-free runs are byte-identical either way: retry
 bookkeeping never touches result payloads or provenance.  The
@@ -45,10 +50,11 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter, deque
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
+from itertools import islice
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -178,6 +184,81 @@ def _run_spec_json(
     return result
 
 
+class _InProcessExecutor:
+    """Serial execution behind the pool's ``submit``/``result`` interface.
+
+    ``submit`` only defers — the handle is the spec itself — and the
+    spec runs in-process when ``result`` is called, so the worker fault
+    gates fire in execution order.  Killing the caller's own process is
+    not a recoverable failure to inject: the serial analogue of a worker
+    crash is a raised :class:`InjectedFaultError`, a slow worker is just
+    the stall, and nothing can time the call out (``timeout_s`` is
+    ignored).
+    """
+
+    worker = "serial"
+
+    def __init__(self) -> None:
+        self._flow = Flow()
+
+    def submit(self, spec: FlowSpec) -> FlowSpec:
+        return spec
+
+    def result(
+        self, spec: FlowSpec, digest: str, timeout_s: Optional[float]
+    ) -> FlowResult:
+        fire("batch.worker-crash")
+        hit = check_fault("batch.worker-slow")
+        if hit is not None:
+            sleep_for(hit.delay_s)
+        return self._flow.run(spec)
+
+    def shutdown(self) -> None:
+        pass
+
+
+class _PoolExecutor:
+    """Cache misses in a process pool, one future per submission."""
+
+    worker = "pool"
+
+    def __init__(self, workers: int, rec) -> None:
+        self._workers = workers
+        self._rec = rec
+        self._pool = ProcessPoolExecutor(max_workers=workers)
+
+    def submit(self, spec: FlowSpec) -> Future:
+        # the chaos decision is made here, in the parent, so the
+        # ordinal sequence is the (deterministic) submission order
+        fault = worker_fault_action()
+        try:
+            return self._pool.submit(
+                _run_spec_json, spec.to_json(), self._rec.enabled, fault
+            )
+        except BrokenProcessPool as exc:
+            # a crash landed between a wait and this submission: hand
+            # back a lost future, so the spec meets the dead pool (and
+            # its restart) in the ladder like every other in-flight spec
+            lost: Future = Future()
+            lost.set_exception(exc)
+            return lost
+
+    def result(
+        self, future: Future, digest: str, timeout_s: Optional[float]
+    ) -> FlowResult:
+        with self._rec.span("batch.wait", digest=digest[:12]) as waited:
+            result = future.result(timeout=timeout_s)
+        self._rec.observe("batch.queue_wait_s", waited.elapsed)
+        return result
+
+    def restart(self) -> None:
+        self.shutdown()
+        self._pool = ProcessPoolExecutor(max_workers=self._workers)
+
+    def shutdown(self) -> None:
+        self._pool.shutdown(wait=False, cancel_futures=True)
+
+
 def _validate(specs: Sequence[FlowSpec], workers: Optional[int]) -> None:
     for index, spec in enumerate(specs):
         if not isinstance(spec, FlowSpec):
@@ -208,11 +289,13 @@ def iter_results(
 
     Resilience (all opt-in, see docs/RESILIENCE.md):
 
-    * ``retry`` — a :class:`~repro.resilience.RetryPolicy`.  Worker
-      crashes (``BrokenProcessPool``) restart the pool and resubmit;
-      per-spec wait timeouts resubmit; a spec out of attempts (or the
-      sweep out of its retry budget) is *quarantined*: recorded in the
-      report, its indices never yielded, the sweep continues.  Without
+    * ``retry`` — a :class:`~repro.resilience.RetryPolicy`.  A lost
+      worker (a crashed pool child, ``BrokenProcessPool``, or serially
+      an injected :class:`InjectedFaultError`) resubmits — the pool is
+      restarted first; per-spec wait timeouts resubmit; a spec out of
+      attempts (or the sweep out of its retry budget) is *quarantined*:
+      recorded in the report, its indices never yielded, the sweep
+      continues.  Serial and pool runs climb the same ladder.  Without
       ``retry``, the first failure propagates exactly as before.
     * ``timeout_s`` — per-spec wait budget in pool mode (each wait on a
       spec's future; the stale computation is abandoned, not killed).
@@ -228,41 +311,57 @@ def iter_results(
     report = report if report is not None else RunReport()
     max_attempts = retry.max_attempts if retry is not None else 1
     digests = [spec_hash(spec) for spec in specs]
+    remaining = Counter(digests)
     # sweep-wide bound: enough for every distinct spec to burn its full
     # attempt ladder, never more — a melting pool exhausts this and the
     # stragglers quarantine immediately
-    budget = RetryBudget((max_attempts - 1) * max(1, len(set(digests))))
-    remaining: Dict[str, int] = {}
-    for digest in digests:
-        remaining[digest] = remaining.get(digest, 0) + 1
+    budget = RetryBudget((max_attempts - 1) * max(1, len(remaining)))
     cache = Path(cache_dir) if cache_dir is not None else None
     first_spec: Dict[str, FlowSpec] = {}
     for digest, spec in zip(digests, specs):
         first_spec.setdefault(digest, spec)
 
-    pool_mode = workers is not None and workers > 1
-
-    # pool mode classifies each distinct digest by actually validating
-    # its cache entry (stamp + type), discarding the loaded object so
-    # memory stays bounded.  File existence alone is not enough: after a
-    # version upgrade every stale pickle would look like a hit, empty
-    # miss_order would bypass the pool, and a whole grid would recompute
-    # serially.  Hits pay one extra load; misses go to the pool.  The
-    # serial path skips the pre-pass entirely — it just tries the cache
-    # at consumption time, loading each hit exactly once.
-    candidates = set()
-    if cache is not None and pool_mode:
-        for digest in first_spec:
-            if _cacheable(first_spec[digest]) and _load_cached(cache, digest) is not None:
-                candidates.add(digest)
-    miss_order = [d for d in dict.fromkeys(digests) if d not in candidates]
-
-    live: Dict[str, FlowResult] = {}
-    poisoned = set()  # digests quarantined this sweep (membership only)
+    # results still owed to a later index; None marks a quarantined digest
+    live: Dict[str, Optional[FlowResult]] = {}
     rec = get_recorder()
+    if workers is not None and workers > 1:
+        executor = _PoolExecutor(workers, rec)
+        window_size = 2 * workers
+    else:
+        executor = _InProcessExecutor()
+        window_size = 1
+    # distinct digests in input order, each entering the window once as
+    # (digest, handle, cache hit).  Entry validates the cache by loading
+    # it, not by file existence — a stale pickle is a miss and goes to
+    # the executor — and a valid hit holds its slot already resolved, so
+    # each hit is unpickled exactly once
+    entering = iter(first_spec)
+    window: deque = deque()
 
-    def _computed(digest: str, result: FlowResult, worker: str) -> FlowResult:
-        result.provenance["worker"] = worker
+    def _submit(digest: str):
+        return executor.submit(first_spec[digest])
+
+    def _fill() -> None:
+        for digest in islice(entering, window_size - len(window)):
+            hit = None
+            if cache is not None and _cacheable(first_spec[digest]):
+                hit = _load_cached(cache, digest)
+            rec.counter("batch.cache.misses" if hit is None else "batch.cache.hits")
+            window.append((digest, _submit(digest) if hit is None else None, hit))
+
+    def _restart_pool() -> None:
+        # a dead child poisons every in-flight future: stand up a fresh
+        # pool and resubmit the surviving window in input order
+        report.record_pool_restart()
+        rec.counter("batch.retry.pool_restarts")
+        executor.restart()
+        for slot, (digest, _, hit) in enumerate(list(window)):
+            if hit is None:
+                window[slot] = (digest, _submit(digest), None)
+        _fill()
+
+    def _computed(digest: str, result: FlowResult) -> FlowResult:
+        result.provenance["worker"] = executor.worker
         # a traced pool worker shipped its span buffer on the result:
         # fold it into the parent recorder exactly once (consumption is
         # input-ordered, so merged span order is deterministic), then
@@ -276,10 +375,6 @@ def iter_results(
             _store_cached(cache, digest, result)
         return result
 
-    def _count(name: str) -> None:
-        if rec.enabled:
-            rec.counter(name)
-
     def _quarantine(digest: str, attempts: int, error: BaseException) -> None:
         """Poison *digest*: record it, skip its indices, keep sweeping."""
         indices = tuple(i for i, d in enumerate(digests) if d == digest)
@@ -289,210 +384,72 @@ def iter_results(
             error=f"{type(error).__name__}: {error}",
             attempts=attempts,
         )
-        poisoned.add(digest)
-        _count("batch.retry.quarantined")
+        rec.counter("batch.retry.quarantined")
 
-    def _backoff(digest: str, attempt: int, error: BaseException) -> None:
-        report.record_resubmit(digest, attempt, type(error).__name__)
-        _count("batch.retry.resubmitted")
-        sleep_for(retry.delay_s(attempt, key=digest))
+    def _resolve(digest: str) -> Optional[FlowResult]:
+        """The window head's result, through the attempt ladder; ``None``
+        once the spec is quarantined."""
+        expected, handle, hit = window.popleft()
+        assert expected == digest  # both follow input order
+        if hit is not None:
+            return hit
+        attempts = 0
+        while True:
+            attempts += 1
+            try:
+                result = executor.result(handle, digest, timeout_s)
+            except _FutureTimeout as exc:
+                # the stale computation is abandoned (its worker finishes
+                # it into the void); the spec re-enters under the ladder
+                report.record_timeout(digest)
+                rec.counter("batch.retry.timeouts")
+                if retry is None:
+                    raise FlowError(
+                        f"spec {digest[:12]} exceeded its {timeout_s}s wait "
+                        f"budget (pass retry= to resubmit instead)"
+                    ) from exc
+                error: BaseException = exc
+            except (BrokenProcessPool, InjectedFaultError) as exc:
+                # a lost worker — transient by construction
+                if retry is None:
+                    raise
+                if isinstance(exc, BrokenProcessPool):
+                    _restart_pool()
+                error = exc
+            except ReproError as exc:
+                # the spec itself failed — deterministic, so an attempt
+                # ladder cannot change the outcome
+                if retry is None:
+                    raise
+                _quarantine(digest, attempts, exc)
+                return None
+            else:
+                return _computed(digest, result)
+            if attempts >= max_attempts or not budget.take():
+                _quarantine(digest, attempts, error)
+                return None
+            report.record_resubmit(digest, attempts, type(error).__name__)
+            rec.counter("batch.retry.resubmitted")
+            sleep_for(retry.delay_s(attempts, key=digest))
+            handle = _submit(digest)
 
-    def _attach_faults() -> None:
+    try:
+        _fill()
+        for index, digest in enumerate(digests):
+            if digest not in live:
+                live[digest] = _resolve(digest)
+                _fill()
+            result = live[digest]
+            remaining[digest] -= 1
+            if not remaining[digest]:
+                del live[digest]
+            if result is not None:
+                yield index, result
         injector = active_injector()
         if injector is not None:
             report.attach_faults(injector.report())
-
-    if pool_mode and miss_order:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        window_size = 2 * workers
-        pending = deque()  # (digest, future), in miss order
-        payloads = deque(
-            (d, first_spec[d].to_json()) for d in miss_order
-        )
-
-        def _recycle_pool() -> None:
-            nonlocal pool
-            report.record_pool_restart()
-            _count("batch.retry.pool_restarts")
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool = ProcessPoolExecutor(max_workers=workers)
-
-        def _submit(payload: str):
-            # the chaos decision is made here, in the parent, so the
-            # ordinal sequence is the (deterministic) submission order
-            fault = worker_fault_action()
-            try:
-                return pool.submit(_run_spec_json, payload, rec.enabled, fault)
-            except BrokenProcessPool:
-                # a crash landed between our wait and this submission:
-                # the executor is already condemned, so recycle it here
-                # (futures lost with it fail their waits and re-enter
-                # the per-spec retry ladder)
-                if retry is None:
-                    raise
-                _recycle_pool()
-                return pool.submit(_run_spec_json, payload, rec.enabled, fault)
-
-        def _fill() -> None:
-            while payloads and len(pending) < window_size:
-                digest, payload = payloads.popleft()
-                pending.append((digest, _submit(payload)))
-
-        def _restart_pool() -> None:
-            # a dead child poisons every in-flight future: stand up a
-            # fresh pool and resubmit the surviving window in miss order
-            _recycle_pool()
-            window = [d for d, _ in pending]
-            pending.clear()
-            for digest in window:
-                pending.append(
-                    (digest, _submit(first_spec[digest].to_json()))
-                )
-            _fill()
-
-        try:
-            _fill()
-            for index, digest in enumerate(digests):
-                if digest in poisoned:
-                    remaining[digest] -= 1
-                    continue
-                if digest not in live:
-                    if digest in candidates:
-                        result = _load_cached(cache, digest)
-                        if result is None:  # corrupt/stale: compute inline
-                            _count("batch.cache.misses")
-                            result = _computed(
-                                digest, Flow().run(first_spec[digest]), "serial"
-                            )
-                        else:
-                            _count("batch.cache.hits")
-                    else:
-                        _count("batch.cache.misses")
-                        attempts = 0
-                        result = None
-                        while True:
-                            expected, future = pending.popleft()
-                            assert expected == digest  # both follow miss order
-                            attempts += 1
-                            try:
-                                with rec.span(
-                                    "batch.wait", digest=digest[:12]
-                                ) as waited:
-                                    result = future.result(timeout=timeout_s)
-                            except _FutureTimeout as exc:
-                                # the stale computation is abandoned (its
-                                # worker finishes it into the void); the
-                                # spec re-enters under the retry ladder
-                                report.record_timeout(digest)
-                                _count("batch.retry.timeouts")
-                                if retry is None:
-                                    raise FlowError(
-                                        f"spec {digest[:12]} exceeded its "
-                                        f"{timeout_s}s wait budget "
-                                        f"(pass retry= to resubmit instead)"
-                                    ) from exc
-                                if attempts >= max_attempts or not budget.take():
-                                    _quarantine(digest, attempts, exc)
-                                    break
-                                _backoff(digest, attempts, exc)
-                                pending.appendleft(
-                                    (digest, _submit(first_spec[digest].to_json()))
-                                )
-                            except BrokenProcessPool as exc:
-                                if retry is None:
-                                    raise
-                                _restart_pool()
-                                if attempts >= max_attempts or not budget.take():
-                                    _quarantine(digest, attempts, exc)
-                                    break
-                                _backoff(digest, attempts, exc)
-                                pending.appendleft(
-                                    (digest, _submit(first_spec[digest].to_json()))
-                                )
-                            except ReproError as exc:
-                                # the spec itself failed — deterministic, so
-                                # an attempt ladder cannot change the outcome
-                                if retry is None:
-                                    raise
-                                _quarantine(digest, attempts, exc)
-                                break
-                            else:
-                                if rec.enabled:
-                                    rec.observe(
-                                        "batch.queue_wait_s", waited.elapsed
-                                    )
-                                result = _computed(digest, result, "pool")
-                                break
-                        _fill()
-                        if result is None:  # quarantined above
-                            remaining[digest] -= 1
-                            continue
-                    live[digest] = result
-                result = live[digest]
-                remaining[digest] -= 1
-                if remaining[digest] == 0:
-                    del live[digest]
-                yield index, result
-            _attach_faults()
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return
-
-    flow = Flow()
-
-    def _run_serial(digest: str) -> FlowResult:
-        # cannot kill the caller's own process: the serial analogue of a
-        # worker crash is a raised InjectedFaultError; a slow worker is
-        # just the stall (nothing can time a serial call out)
-        fire("batch.worker-crash")
-        hit = check_fault("batch.worker-slow")
-        if hit is not None:
-            sleep_for(hit.delay_s)
-        return flow.run(first_spec[digest])
-
-    for index, digest in enumerate(digests):
-        if digest in poisoned:
-            remaining[digest] -= 1
-            continue
-        if digest not in live:
-            result = None
-            if cache is not None and _cacheable(first_spec[digest]):
-                result = _load_cached(cache, digest)
-                _count(
-                    "batch.cache.hits" if result is not None
-                    else "batch.cache.misses"
-                )
-            if result is None:
-                attempts = 0
-                computed = None
-                while computed is None:
-                    attempts += 1
-                    try:
-                        computed = _run_serial(digest)
-                    except InjectedFaultError as exc:
-                        # a simulated crash: transient by construction
-                        if retry is None:
-                            raise
-                        if attempts >= max_attempts or not budget.take():
-                            _quarantine(digest, attempts, exc)
-                            break
-                        _backoff(digest, attempts, exc)
-                    except ReproError as exc:
-                        if retry is None:
-                            raise
-                        _quarantine(digest, attempts, exc)
-                        break
-                if computed is None:  # quarantined above
-                    remaining[digest] -= 1
-                    continue
-                result = _computed(digest, computed, "serial")
-            live[digest] = result
-        result = live[digest]
-        remaining[digest] -= 1
-        if remaining[digest] == 0:
-            del live[digest]
-        yield index, result
-    _attach_faults()
+    finally:
+        executor.shutdown()
 
 
 def run_many(
@@ -556,9 +513,6 @@ def run_many(
         if not isinstance(store, ResultStore):
             store = ResultStore(store)
 
-    def _append(record) -> None:
-        store.append(record)
-
     for index, result in iter_results(
         specs,
         workers=workers,
@@ -576,7 +530,7 @@ def run_many(
                 # a torn index write (crash mid-append) is transient: the
                 # appender self-heals the ledger tail on the next attempt
                 retry.call(
-                    lambda: _append(record),
+                    lambda: store.append(record),
                     retry_on=(ResilienceError, OSError),
                     key=f"store:{index}",
                     on_retry=lambda _a, _e: report.record_store_retry(),

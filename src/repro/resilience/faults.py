@@ -71,7 +71,8 @@ __all__ = [
 #: exactly one hook location (module: what the armed fault does there).
 FAULT_SITES: Tuple[str, ...] = (
     # flow/batch.py: pool child hard-exits mid-spec (BrokenProcessPool);
-    # the serial path raises InjectedFaultError instead.
+    # the serial executor raises InjectedFaultError instead.  Both are a
+    # lost worker on the one batch retry ladder.
     "batch.worker-crash",
     # flow/batch.py: pool child sleeps ``delay_s`` before running the
     # spec, exercising the per-spec wait timeout.
@@ -377,10 +378,12 @@ def apply_worker_fault(action: Optional[str]) -> None:
 
     Runs inside the pool process before the spec: ``"crash"`` hard-exits
     (the parent sees ``BrokenProcessPool``), ``"slow:<s>"`` stalls (the
-    parent's per-spec wait budget trips).  The serial batch path does
-    not come through here — it raises :class:`InjectedFaultError` via
-    :func:`fire` instead, because killing the caller's own process is
-    not a recoverable failure to inject.
+    parent's per-spec wait budget trips).  The serial batch executor
+    does not come through here — it raises :class:`InjectedFaultError`
+    via :func:`fire` instead, because killing the caller's own process
+    is not a recoverable failure to inject; its stall cannot time out
+    (``timeout_s`` is ignored serially).  Both crash forms are a lost
+    worker on the same attempt/quarantine/backoff ladder.
     """
     if not action:
         return

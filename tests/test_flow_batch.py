@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 import repro.core.scheduler as scheduler_module
+import repro.flow.batch as batch_module
 from repro.errors import FlowError
 from repro.flow import clear_cache, iter_results, platform_spec, run_many, spec_hash
 
@@ -92,6 +93,23 @@ class TestCache:
         run_many(specs, cache_dir=tmp_path)
         assert clear_cache(tmp_path) == 2
         assert clear_cache(tmp_path) == 0
+
+    def test_each_cache_hit_is_loaded_once(self, tmp_path, monkeypatch):
+        """Each distinct digest is looked up once, as it enters the
+        window: a warm pool run unpickles every hit exactly once."""
+        specs = sweep_specs()
+        run_many(specs, cache_dir=tmp_path)
+        loads = []
+        load_cached = batch_module._load_cached
+
+        def counting(cache_dir, digest):
+            loads.append(digest)
+            return load_cached(cache_dir, digest)
+
+        monkeypatch.setattr(batch_module, "_load_cached", counting)
+        results = run_many(specs + specs[:1], workers=2, cache_dir=tmp_path)
+        assert all(r.provenance["cache_hit"] for r in results)
+        assert sorted(loads) == sorted(spec_hash(spec) for spec in specs)
 
 
 class TestCacheVersionStamp:

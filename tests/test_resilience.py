@@ -230,12 +230,18 @@ class TestCircuitBreaker:
 # ----------------------------------------------------------------------
 # batch chaos
 # ----------------------------------------------------------------------
+#: Both executors behind ``iter_results`` climb one retry ladder; the
+#: shared cases below run against each of them.
+BOTH_EXECUTORS = pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+
+
 class TestBatchFaultFree:
-    def test_retry_machinery_changes_nothing_when_disarmed(self):
+    @BOTH_EXECUTORS
+    def test_retry_machinery_changes_nothing_when_disarmed(self, workers):
         specs = sweep_specs(2)
         baseline = run_many(specs)
         report = RunReport()
-        armed = run_many(specs, retry=FAST_RETRY, report=report)
+        armed = run_many(specs, workers=workers, retry=FAST_RETRY, report=report)
         assert [comparable(r) for r in armed] == [
             comparable(r) for r in baseline
         ]
@@ -245,7 +251,8 @@ class TestBatchFaultFree:
 
 
 class TestBatchChaosSerial:
-    def test_injected_crash_is_resubmitted_and_recovered(self):
+    @BOTH_EXECUTORS
+    def test_injected_crash_is_resubmitted_and_recovered(self, workers):
         specs = sweep_specs(2)
         baseline = run_many(specs)
         report = RunReport()
@@ -253,7 +260,9 @@ class TestBatchChaosSerial:
             FaultSpec(site="batch.worker-crash", ordinal=0),
         ))
         with inject(plan) as injector:
-            recovered = run_many(specs, retry=FAST_RETRY, report=report)
+            recovered = run_many(
+                specs, workers=workers, retry=FAST_RETRY, report=report
+            )
         assert [comparable(r) for r in recovered] == [
             comparable(r) for r in baseline
         ]
@@ -271,16 +280,21 @@ class TestBatchChaosSerial:
             with pytest.raises(InjectedFaultError, match="worker-crash"):
                 run_many(sweep_specs(1))
 
-    def test_poison_spec_quarantines_instead_of_aborting(self):
+    @BOTH_EXECUTORS
+    def test_poison_spec_quarantines_instead_of_aborting(self, workers):
         specs = sweep_specs(2)
         report = RunReport()
-        # crash spec 0's every attempt; spec 1 is untouched
+        # crash spec 0's every attempt; spec 1 completes.  Serially spec 0
+        # runs at ordinals 0 and 1 and ordinal 3 is never reached; the
+        # pool submits both specs up front (0, 1), and after the restart
+        # resubmits spec 1 (2) before spec 0 (3)
         plan = FaultPlan(faults=(
             FaultSpec(site="batch.worker-crash", ordinal=0, count=2),
+            FaultSpec(site="batch.worker-crash", ordinal=3),
         ))
         policy = RetryPolicy(max_attempts=2, base_delay_s=0.0, max_delay_s=0.0)
         with inject(plan):
-            out = run_many(specs, retry=policy, report=report)
+            out = run_many(specs, workers=workers, retry=policy, report=report)
         assert out[0] is None
         assert out[1] is not None
         assert not report.ok()
@@ -298,15 +312,60 @@ class TestBatchChaosSerial:
         assert out[0] is not None
         assert injector.fired()[0]["site"] == "batch.worker-slow"
 
-    def test_iter_results_streams_none_free_pairs(self):
+    @BOTH_EXECUTORS
+    def test_iter_results_streams_none_free_pairs(self, workers):
         specs = sweep_specs(2)
         plan = FaultPlan(faults=(
             FaultSpec(site="batch.worker-crash", ordinal=0),
         ))
         with inject(plan):
-            pairs = list(iter_results(specs, retry=FAST_RETRY))
+            pairs = list(iter_results(specs, workers=workers, retry=FAST_RETRY))
         assert [index for index, _ in pairs] == [0, 1]
         assert all(result is not None for _, result in pairs)
+
+    def test_seeded_plan_fires_and_reports_exactly(self):
+        """The serial fault sequence is pinned: gates fire in execution
+        order, so the fired log and the report are fully determined."""
+        specs = [
+            platform_spec(bench, policy="thermal", weight=round(0.1 + 0.15 * i, 2))
+            for bench in ("Bm1", "Bm2")
+            for i in range(6)
+        ]
+        plan = FaultPlan.seeded(
+            1, {"batch.worker-crash": 3, "batch.worker-slow": 1},
+            slow_delay_s=0.01,
+        )
+        policy = RetryPolicy(max_attempts=2, base_delay_s=0, max_delay_s=0)
+        report = RunReport()
+        with inject(plan) as injector:
+            out = run_many(specs, retry=policy, report=report)
+        assert injector.fired() == (
+            {"site": "batch.worker-crash", "ordinal": 7},
+            {"site": "batch.worker-slow", "ordinal": 7},
+            {"site": "batch.worker-crash", "ordinal": 12},
+            {"site": "batch.worker-crash", "ordinal": 13},
+        )
+        summary = report.as_dict()
+        summary.pop("faults")
+        assert summary == {
+            "ok": False,
+            "resubmitted": [
+                {"spec_hash": "62ec780906f165836224", "attempt": 1,
+                 "error": "InjectedFaultError"},
+                {"spec_hash": "b6ae373c8d8d75040aaa", "attempt": 1,
+                 "error": "InjectedFaultError"},
+            ],
+            "quarantined": [
+                {"spec_hash": "b6ae373c8d8d75040aaa", "indices": [11],
+                 "error": "InjectedFaultError: injected fault at "
+                          "'batch.worker-crash' (ordinal 13)",
+                 "attempts": 2},
+            ],
+            "timed_out": [],
+            "pool_restarts": 0,
+            "store_retries": 0,
+        }
+        assert [i for i, r in enumerate(out) if r is None] == [11]
 
 
 class TestBatchChaosPool:

@@ -48,25 +48,29 @@ class TestRegistry:
 
     def test_user_analyzer_via_decorator(self, runs):
         name = "test-count-analyzer"
-        if name not in ANALYZERS:
 
-            @register_analyzer(name)
-            def count(run_set, **options):
-                return AnalysisReport(
-                    name=name,
-                    title="count",
-                    rows=({"n": len(run_set)},),
-                )
+        @register_analyzer(name)
+        def count(run_set, **options):
+            return AnalysisReport(
+                name=name,
+                title="count",
+                rows=({"n": len(run_set)},),
+            )
 
-        report = analyze(name, runs)
+        try:
+            report = analyze(name, runs)
+        finally:
+            ANALYZERS.unregister(name)
         assert report.rows[0]["n"] == 4
 
     def test_analyzer_returning_wrong_type_rejected(self, runs):
         name = "test-bad-analyzer"
-        if name not in ANALYZERS:
-            register_analyzer(name, lambda run_set, **options: {"not": "a report"})
-        with pytest.raises(ResultError, match="AnalysisReport"):
-            analyze(name, runs)
+        register_analyzer(name, lambda run_set, **options: {"not": "a report"})
+        try:
+            with pytest.raises(ResultError, match="AnalysisReport"):
+                analyze(name, runs)
+        finally:
+            ANALYZERS.unregister(name)
 
 
 class TestSummary:

@@ -230,10 +230,14 @@ class TestRegistries:
         with pytest.raises(FlowSpecError):
             register_scenario("paper-tables")
 
-    def test_policy_ablation_sees_late_registrations(self):
+    def test_policy_ablation_sees_late_registrations(self, monkeypatch):
         """The suite is built per lookup, so a policy registered after
         import still joins the ablation grid."""
+        from repro.core import heuristics
         from repro.core.heuristics import ThermalPolicy, register_dc_policy
+
+        # register into a copy: the global registry must stay untouched
+        monkeypatch.setattr(heuristics, "_REGISTRY", dict(heuristics._REGISTRY))
 
         class LateTestPolicy(ThermalPolicy):
             name = "late-test-policy"
@@ -249,23 +253,25 @@ class TestRegistries:
     def test_floorplanner_registry_normalizes(self):
         """Satellite: component registries share the policy registry's
         hyphen/underscore behaviour."""
-        if "norm-check" not in FLOORPLANNERS:
-            register_floorplanner(
-                "norm-check", lambda arch, spec: FLOORPLANNERS.get("platform")(arch, spec)
-            )
-        assert FLOORPLANNERS.get("norm_check") is FLOORPLANNERS.get("norm-check")
-        assert "norm_check" in FLOORPLANNERS
-        with pytest.raises(FlowError, match="already registered"):
-            register_floorplanner("norm_check", lambda arch, spec: None)
+        register_floorplanner(
+            "norm-check", lambda arch, spec: FLOORPLANNERS.get("platform")(arch, spec)
+        )
+        try:
+            assert FLOORPLANNERS.get("norm_check") is FLOORPLANNERS.get("norm-check")
+            assert "norm_check" in FLOORPLANNERS
+            with pytest.raises(FlowError, match="already registered"):
+                register_floorplanner("norm_check", lambda arch, spec: None)
+        finally:
+            FLOORPLANNERS.unregister("norm-check")
 
     def test_thermal_and_flow_registries_normalize(self):
         from repro.flow.registry import FLOWS, THERMAL_SOLVERS, register_thermal_solver
 
-        if "norm_solver" not in THERMAL_SOLVERS:
-            register_thermal_solver(
-                "norm_solver", THERMAL_SOLVERS.get("hotspot")
-            )
-        assert THERMAL_SOLVERS.get("norm-solver") is THERMAL_SOLVERS.get("norm_solver")
+        register_thermal_solver("norm_solver", THERMAL_SOLVERS.get("hotspot"))
+        try:
+            assert THERMAL_SOLVERS.get("norm-solver") is THERMAL_SOLVERS.get("norm_solver")
+        finally:
+            THERMAL_SOLVERS.unregister("norm_solver")
         assert FLOWS.get("platform") is FLOWS.get("platform")
 
 
