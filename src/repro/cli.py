@@ -547,9 +547,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 {
                     "benchmark": bench,
                     "policy": policy,
-                    "elapsed_s": round(elapsed, 4),
-                    "build_s": round(totals.get("flow.library", 0.0), 4),
-                    "run_s": round(totals.get("flow.run", 0.0), 4),
+                    "elapsed_ms": round(1e3 * elapsed, 3),
+                    "build_ms": round(1e3 * totals.get("flow.library", 0.0), 3),
+                    "run_ms": round(1e3 * totals.get("flow.run", 0.0), 3),
                     "candidates": candidates,
                     "hotspot_queries": result.diagnostics.get(
                         "hotspot_queries", 0
@@ -571,8 +571,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.json:
         text = json.dumps(rows, indent=2)
     else:
+        # format_table renders floats to 2 places; keep the µs digit
+        table = [
+            {k: f"{v:.3f}" if k.endswith("_ms") else v for k, v in row.items()}
+            for row in rows
+        ]
         text = format_table(
-            rows, title=f"bench: {len(rows)} flows (best of {args.repeat})"
+            table, title=f"bench: {len(rows)} flows (best of {args.repeat})"
         )
     _emit(text, args.out)
     return 0
@@ -1193,7 +1198,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_p.add_argument(
         "--repeat", type=int, default=1,
-        help="repetitions per flow; elapsed_s reports the best (default: 1)",
+        help="repetitions per flow; elapsed_ms reports the best (default: 1)",
     )
     bench_p.add_argument(
         "-o", "--out", default=None, metavar="FILE",

@@ -21,7 +21,7 @@ inspects :attr:`Schedule.meets_deadline` and iterates).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import DeadlineMissError, InfeasibleAllocationError, ThermalError
 from ..library.bus import CommunicationModel, zero_cost_comm
@@ -41,6 +41,11 @@ __all__ = ["ListScheduler"]
 
 class ListScheduler:
     """Reusable ASP engine bound to one (graph, architecture, library).
+
+    The scheduler binds to the library *contents* at construction: every
+    task's supporting PEs, WCETs and WCPCs are resolved once in
+    ``__init__``, so :meth:`run` makes no library lookups and entries
+    added to the library afterwards are not seen.
 
     Parameters
     ----------
@@ -98,18 +103,21 @@ class ListScheduler:
         }
         self._graph_order = {name: i for i, name in enumerate(graph.task_names())}
         self._pe_order = {pe.name: i for i, pe in enumerate(architecture)}
-        # pre-resolve per-task candidate PE lists (architecture order)
-        self._candidates: Dict[str, List[str]] = {}
+        # pre-resolve per-task (pe_name, wcet, power) candidate rows in
+        # architecture order, so run() makes no library lookups
+        self._candidates: Dict[str, List[Tuple[str, float, float]]] = {}
         for task in graph:
-            pes = [
-                pe.name for pe in architecture if library.supports(task, pe)
+            rows = [
+                (pe.name, library.wcet(task, pe), library.power(task, pe))
+                for pe in architecture
+                if library.supports(task, pe)
             ]
-            if not pes:
+            if not rows:
                 raise InfeasibleAllocationError(
                     f"task {task.name!r} has no supporting PE in "
                     f"{architecture.name!r}"
                 )
-            self._candidates[task.name] = pes
+            self._candidates[task.name] = rows
         #: Profiling counters of the most recent :meth:`run` (steps,
         #: candidates evaluated, thermal fast-path hits); see
         #: ``docs/PERFORMANCE.md``.  A :class:`~repro.obs.Counters`
@@ -244,7 +252,10 @@ class ListScheduler:
         unscheduled_preds: Dict[str, int] = {
             name: graph.in_degree(name) for name in graph.task_names()
         }
-        ready: Set[str] = {n for n, d in unscheduled_preds.items() if d == 0}
+        # ready task -> latest predecessor finish, fixed once it is ready
+        ready: Dict[str, float] = {
+            n: 0.0 for n, d in unscheduled_preds.items() if d == 0
+        }
         pe_of: Dict[str, str] = {}  # committed task -> its PE (for comm delays)
         accumulator = PowerAccumulator(
             avail.keys(),
@@ -268,19 +279,14 @@ class ListScheduler:
         steps = 0
         candidates_evaluated = 0
         exact_requeries = 0
+        comm_free = self.comm.is_free
 
         while ready:
             best = None  # (dc, -finish, -orders) comparison via explicit loop
             best_key = None
             fast_candidates = [] if thermal_query is not None else None
-            comm_free = self.comm.is_free
-            for task_name in ready:
-                task = graph.task(task_name)
-                base_ready = max(
-                    (finish[p] for p in graph.predecessors(task_name)),
-                    default=0.0,
-                )
-                for pe_name in self._candidates[task_name]:
+            for task_name, base_ready in ready.items():
+                for pe_name, wcet, power in self._candidates[task_name]:
                     if comm_free:
                         ready_time = base_ready
                     else:
@@ -291,9 +297,6 @@ class ListScheduler:
                                 pe_of[pred], pe_name, graph.edge(pred, task_name).data
                             )
                             ready_time = max(ready_time, arrival)
-                    pe = self.architecture.pe(pe_name)
-                    wcet = self.library.wcet(task, pe)
-                    power = self.library.power(task, pe)
                     start = max(avail[pe_name], ready_time)
                     end = start + wcet
                     candidates_evaluated += 1
@@ -336,12 +339,14 @@ class ListScheduler:
             pe_of[task_name] = pe_name
             current_makespan = max(current_makespan, end)
             accumulator.record(pe_name, power, wcet)
-            ready.discard(task_name)
+            del ready[task_name]
             steps += 1
             for successor in graph.successors(task_name):
                 unscheduled_preds[successor] -= 1
                 if unscheduled_preds[successor] == 0:
-                    ready.add(successor)
+                    ready[successor] = max(
+                        finish[p] for p in graph.predecessors(successor)
+                    )
 
         self.last_run_stats = Counters(
             namespace="scheduler",

@@ -155,6 +155,13 @@ def evolve_floorplan(
     *rng* supplies an externally owned random stream (it wins over *seed*).
     With both omitted the behaviour — including the RNG call sequence — is
     exactly the legacy one.
+
+    The default scoring assumes *objective* is a pure function of the
+    plan: it slices and scores each distinct ``(tokens, rotated)``
+    chromosome once per call and returns the stored ``(cost, plan)`` for
+    repeats (elites, unmutated copies).  ``evaluations`` still counts
+    every scoring request, repeats included.  An injected *evaluate* is
+    called for every request, unmemoised.
     """
     if len(architecture) == 0:
         raise FloorplanError("cannot floorplan an empty architecture")
@@ -164,9 +171,17 @@ def evolve_floorplan(
     dims = _dims_of(architecture)
 
     if evaluate is None:
+        # elites and unmutated copies recur every generation: score each
+        # distinct chromosome once per call (objective must be pure)
+        memo: Dict[tuple, Tuple[float, Floorplan]] = {}
+
         def evaluate(individual: PolishExpression) -> Tuple[float, Floorplan]:
-            plan = individual.evaluate().normalised()
-            return objective(plan), plan
+            key = (tuple(individual.tokens), frozenset(individual.rotated))
+            scored_plan = memo.get(key)
+            if scored_plan is None:
+                plan = individual.evaluate().normalised()
+                scored_plan = memo[key] = (objective(plan), plan)
+            return scored_plan
 
     if len(architecture) == 1:
         only = PolishExpression.initial(dims)

@@ -36,6 +36,9 @@ class TechnologyLibrary:
         self.name = name
         self._wcet: Dict[_Key, float] = {}
         self._wcpc: Dict[_Key, float] = {}
+        # task type -> {pe_type: wcet} in insertion order, so the per-type
+        # queries need no scan and sum in the same order as ``_wcet``
+        self._by_task: Dict[str, Dict[str, float]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -59,6 +62,7 @@ class TechnologyLibrary:
             raise LibraryError(f"duplicate library entry for {key}")
         self._wcet[key] = float(wcet)
         self._wcpc[key] = float(wcpc)
+        self._by_task.setdefault(task_type, {})[pe_type] = float(wcet)
 
     # ------------------------------------------------------------------
     # normalisation helpers
@@ -131,9 +135,15 @@ class TechnologyLibrary:
     def supported_pe_types(self, task) -> List[str]:
         """PE types able to execute *task*, sorted."""
         task_type, _ = self._task_type_of(task)
-        return sorted(
-            pe for (t, pe) in self._wcet if t == task_type
-        )
+        return sorted(self._by_task.get(task_type, ()))
+
+    def _wcets_of(self, task_type: str) -> Dict[str, float]:
+        values = self._by_task.get(task_type)
+        if not values:
+            raise UnknownTaskTypeError(
+                f"library {self.name!r} has no entries for task type {task_type!r}"
+            )
+        return values
 
     def mean_wcet(self, task) -> float:
         """Average WCET of *task* across all PE types supporting it.
@@ -142,22 +152,13 @@ class TechnologyLibrary:
         task's priority does not depend on any particular PE choice.
         """
         task_type, weight = self._task_type_of(task)
-        values = [v for (t, _), v in self._wcet.items() if t == task_type]
-        if not values:
-            raise UnknownTaskTypeError(
-                f"library {self.name!r} has no entries for task type {task_type!r}"
-            )
-        return weight * sum(values) / len(values)
+        values = self._wcets_of(task_type)
+        return weight * sum(values.values()) / len(values)
 
     def min_wcet(self, task) -> float:
         """Fastest WCET of *task* over all supporting PE types."""
         task_type, weight = self._task_type_of(task)
-        values = [v for (t, _), v in self._wcet.items() if t == task_type]
-        if not values:
-            raise UnknownTaskTypeError(
-                f"library {self.name!r} has no entries for task type {task_type!r}"
-            )
-        return weight * min(values)
+        return weight * min(self._wcets_of(task_type).values())
 
     # ------------------------------------------------------------------
     # validation

@@ -285,3 +285,50 @@ class TestInjectedSearchHooks:
         )
         assert result.evaluations == len(calls)
         assert result.cost == 1.0  # ever-rising costs keep the initial plan
+
+    @pytest.mark.parametrize("count", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [1, 9, 2005])
+    def test_genetic_default_memo_is_exact(self, count, seed):
+        """The default path scores each distinct chromosome once and
+        still matches an unmemoised default-replicating ``evaluate=``."""
+        from repro.thermal.hotspot import HotSpotModel
+
+        architecture = hetero_arch(count)
+        powers = {pe.name: 3.0 + 4.0 * i for i, pe in enumerate(architecture)}
+        temp_calls = []
+
+        def peak_temp(plan):
+            temp_calls.append(plan)
+            return HotSpotModel(plan).peak_temperature(powers)
+
+        objective = thermal_objective(peak_temp)
+        memoised = evolve_floorplan(
+            architecture, objective=objective, config=FAST_GA, seed=seed
+        )
+        memoised_calls = len(temp_calls)
+
+        temp_calls.clear()
+        requested = set()
+
+        def evaluate(expression):
+            requested.add(
+                (tuple(expression.tokens), frozenset(expression.rotated))
+            )
+            plan = expression.evaluate().normalised()
+            return objective(plan), plan
+
+        injected = evolve_floorplan(
+            architecture, objective=objective, config=FAST_GA, seed=seed,
+            evaluate=evaluate,
+        )
+        assert memoised.cost == injected.cost
+        assert memoised.expression.tokens == injected.expression.tokens
+        assert memoised.expression.rotated == injected.expression.rotated
+        assert memoised.history == injected.history
+        assert memoised.evaluations == injected.evaluations
+        assert [(b.name, b.rect) for b in memoised.floorplan] == [
+            (b.name, b.rect) for b in injected.floorplan
+        ]
+        assert memoised_calls == len(requested)
+        assert len(temp_calls) == injected.evaluations
+        assert len(requested) < injected.evaluations  # repeats do occur

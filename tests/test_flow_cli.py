@@ -134,3 +134,20 @@ class TestTopLevel:
         out = capsys.readouterr().out
         for sub in ("run", "sweep", "experiments", "list"):
             assert sub in out
+
+
+class TestBenchCommand:
+    def test_reports_milliseconds_below_the_hundredth(self, capsys):
+        args = ["bench", "--benchmarks", "Bm1", "--policies", "thermal"]
+        assert main(args + ["--json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert row["elapsed_ms"] > 0
+        assert row["run_ms"] > 0
+        assert "elapsed_s" not in row
+
+        assert main(args) == 0
+        _, header, _, line = capsys.readouterr().out.splitlines()
+        cells = dict(zip(header.split(), line.split()))
+        assert cells["elapsed_ms"] != "0.00"
+        assert float(cells["elapsed_ms"]) > 0
+        assert len(cells["elapsed_ms"].split(".")[1]) == 3  # µs digit

@@ -9,15 +9,18 @@ from repro.core.heuristics import (
     TaskPowerPolicy,
     ThermalPolicy,
 )
+from repro.core.heuristics import policy_by_name
 from repro.core.scheduler import ListScheduler
+from repro.cosynth.allocation import feasible_allocations
 from repro.errors import (
     DeadlineMissError,
     InfeasibleAllocationError,
     UnknownTaskTypeError,
 )
 from repro.floorplan.platform import platform_floorplan
+from repro.library.bus import shared_bus_comm
 from repro.library.pe import Architecture, PEType
-from repro.library.presets import default_platform
+from repro.library.presets import default_catalogue, default_platform
 from repro.library.technology import TechnologyLibrary
 from repro.taskgraph.graph import TaskGraph
 from repro.thermal.hotspot import HotSpotModel
@@ -196,3 +199,54 @@ class TestThermalScheduling:
                 schedule = ListScheduler(graph, platform, library).run(policy)
                 assert schedule.meets_deadline
                 schedule.validate(library)
+
+
+class TestResolvedCandidates:
+    """``run`` works from the rows ``__init__`` resolved: it makes no
+    library lookups and decides exactly as before."""
+
+    RUNS = (
+        ("heuristic2", True),
+        ("heuristic3", True),
+        ("thermal", True),
+        ("thermal", False),
+    )
+
+    @pytest.mark.parametrize("comm", [None, shared_bus_comm()],
+                             ids=["free-comm", "shared-bus"])
+    def test_run_makes_no_library_lookups(
+        self, bm1, bm1_library, monkeypatch, comm
+    ):
+        hetero = next(
+            arch
+            for arch in feasible_allocations(bm1, bm1_library, default_catalogue())
+            if len({pe.type_name for pe in arch}) >= 2
+        )
+        schedulers = [
+            ListScheduler(
+                bm1, arch, bm1_library,
+                thermal=HotSpotModel(platform_floorplan(arch)), comm=comm,
+            )
+            for arch in (default_platform(), hetero)
+        ]
+
+        def outcomes():
+            results = []
+            for scheduler in schedulers:
+                for name, fast_thermal in self.RUNS:
+                    schedule = scheduler.run(
+                        policy_by_name(name), fast_thermal=fast_thermal
+                    )
+                    results.append(
+                        (schedule.assignments(), dict(scheduler.last_run_stats))
+                    )
+            return results
+
+        expected = outcomes()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("run() must not query the library")
+
+        for method in ("wcet", "power", "supports"):
+            monkeypatch.setattr(TechnologyLibrary, method, forbidden)
+        assert outcomes() == expected

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.errors import LibraryError, UnknownTaskTypeError
+from repro.flow.spec import GraphSourceSpec, LibrarySpec
 from repro.library.pe import Architecture, PEInstance, PEType
 from repro.library.technology import TechnologyLibrary
+from repro.scenarios.workloads import build_workload
 from repro.taskgraph.graph import TaskGraph
 from repro.taskgraph.task import Task
 
@@ -117,3 +119,50 @@ class TestCheckGraph:
         arch.add_instance(PEType("dsp", 5.0, 5.0))
         with pytest.raises(UnknownTaskTypeError):
             lib.check_graph(graph, arch)
+
+
+def _scan(library, task_type):
+    """Brute-force per-type answers: the full scans the index replaced.
+
+    The mean sums in insertion order (the ``_wcet`` table's order), as
+    the scan always did; ``entries()`` is sorted, and summing in that
+    order can differ in the last bit.
+    """
+    values = [v for (t, _), v in library._wcet.items() if t == task_type]
+    pes = sorted(pe for t, pe, _, _ in library.entries() if t == task_type)
+    return sum(values) / len(values), min(values), pes
+
+
+def _index_view(library, task_type):
+    return (
+        library.mean_wcet(task_type),
+        library.min_wcet(task_type),
+        library.supported_pe_types(task_type),
+    )
+
+
+class TestTaskTypeIndex:
+    """The per-task-type index answers exactly like a full scan."""
+
+    @pytest.mark.parametrize("name", ["Bm1", "Bm2", "Bm3", "Bm4"])
+    def test_index_matches_full_scan(self, name):
+        _, library = build_workload(
+            GraphSourceSpec(kind="benchmark", name=name), LibrarySpec()
+        )
+        for task_type in library.task_types():
+            assert _index_view(library, task_type) == _scan(library, task_type)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [("fft", "risc", 10.0, 1.0), ("fft", "vliw", 0.0, 1.0),
+         ("fft", "vliw", 10.0, -1.0), ("new", "risc", -5.0, 1.0)],
+        ids=["duplicate", "zero-wcet", "negative-wcpc", "new-type"],
+    )
+    def test_rejected_entry_leaves_index_unchanged(self, lib, entry):
+        before = {t: _index_view(lib, t) for t in lib.task_types()}
+        with pytest.raises(LibraryError):
+            lib.add_entry(*entry)
+        assert {t: _index_view(lib, t) for t in lib.task_types()} == before
+        assert lib.supported_pe_types("new") == []
+        with pytest.raises(UnknownTaskTypeError):
+            lib.mean_wcet("new")
