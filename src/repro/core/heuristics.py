@@ -116,6 +116,18 @@ class DCPolicy:
         """The ``Pow`` value (already scaled by ``weight``)."""
         raise NotImplementedError
 
+    def static_penalty(self, wcet, power):
+        """``penalty`` as a function of the candidate's WCET and WCPC alone.
+
+        Policies whose penalty reads no schedule state return it here, so
+        that :func:`~repro.core.scheduler.screen_allocations` can score
+        whole arrays of candidates at once (*wcet* and *power* are scalars
+        or equally shaped arrays), and have ``penalty`` delegate to it so
+        the formula exists once.  The default ``None`` — for every input —
+        means the penalty depends on the partial schedule.
+        """
+        return None
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(weight={self.weight})"
 
@@ -129,6 +141,9 @@ class BaselinePolicy(DCPolicy):
         super().__init__(weight)
 
     def penalty(self, ctx: DCContext) -> float:
+        return self.static_penalty(ctx.wcet, ctx.power)
+
+    def static_penalty(self, wcet, power):
         return 0.0
 
 
@@ -146,7 +161,10 @@ class TaskPowerPolicy(DCPolicy):
         super().__init__(weight)
 
     def penalty(self, ctx: DCContext) -> float:
-        return self.weight * ctx.power
+        return self.static_penalty(ctx.wcet, ctx.power)
+
+    def static_penalty(self, wcet, power):
+        return self.weight * power
 
 
 class CumulativePowerPolicy(DCPolicy):
@@ -182,7 +200,10 @@ class TaskEnergyPolicy(DCPolicy):
         super().__init__(weight)
 
     def penalty(self, ctx: DCContext) -> float:
-        return self.weight * ctx.energy
+        return self.static_penalty(ctx.wcet, ctx.power)
+
+    def static_penalty(self, wcet, power):
+        return self.weight * (wcet * power)
 
 
 class ThermalPolicy(DCPolicy):

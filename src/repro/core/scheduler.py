@@ -17,15 +17,21 @@ The procedure always produces a complete schedule; deadline satisfaction is
 checked afterwards (``check_deadline=True`` raises
 :class:`~repro.errors.DeadlineMissError`, the co-synthesis loop instead
 inspects :attr:`Schedule.meets_deadline` and iterates).
+
+:func:`screen_allocations` runs the same procedure for many architectures
+at once — co-synthesis screening — as one lockstep array program whenever
+the policy's penalty is a per-(task, PE) constant.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import DeadlineMissError, InfeasibleAllocationError, ThermalError
 from ..library.bus import CommunicationModel, zero_cost_comm
-from ..obs import Counters
+from ..obs import Counters, get_recorder
 from ..library.pe import Architecture
 from ..library.technology import TechnologyLibrary
 from ..power.model import PowerAccumulator
@@ -36,7 +42,28 @@ from .criticality import static_criticality
 from .heuristics import BaselinePolicy, DCContext, DCPolicy
 from .schedule import Assignment, Schedule
 
-__all__ = ["ListScheduler"]
+__all__ = ["ListScheduler", "screen_allocations"]
+
+
+#: ``ListScheduler``'s default deadline-guard weight; screening always uses it.
+_DEADLINE_GUARD = 10.0
+
+
+def _criticality(
+    graph: TaskGraph, library: TechnologyLibrary
+) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """Every task's static criticality, and the critical path left after it.
+
+    The second map feeds the deadline guard: a candidate finishing at time
+    t leaves at least ``downstream[task]`` units of successor work
+    (mean-WCET estimate) to run.
+    """
+    sc = static_criticality(graph, library)
+    downstream = {
+        name: sc[name] - library.mean_wcet(graph.task(name))
+        for name in graph.task_names()
+    }
+    return sc, downstream
 
 
 class ListScheduler:
@@ -78,7 +105,7 @@ class ListScheduler:
         library: TechnologyLibrary,
         thermal: Optional[HotSpotModel] = None,
         pe_to_block: Optional[Mapping[str, str]] = None,
-        deadline_guard: float = 10.0,
+        deadline_guard: float = _DEADLINE_GUARD,
         comm: Optional[CommunicationModel] = None,
     ):
         if deadline_guard < 0.0:
@@ -93,14 +120,7 @@ class ListScheduler:
         self.pe_to_block = dict(pe_to_block) if pe_to_block else None
         self.deadline_guard = float(deadline_guard)
         self.comm = comm if comm is not None else zero_cost_comm()
-        self._sc = static_criticality(graph, library)
-        # remaining critical path *after* each task (mean-WCET estimate),
-        # used by the deadline guard: a candidate finishing at time t leaves
-        # at least _downstream[task] units of successor work to run
-        self._downstream = {
-            name: self._sc[name] - library.mean_wcet(graph.task(name))
-            for name in graph.task_names()
-        }
+        self._sc, self._downstream = _criticality(graph, library)
         self._graph_order = {name: i for i, name in enumerate(graph.task_names())}
         self._pe_order = {pe.name: i for i, pe in enumerate(architecture)}
         # pre-resolve per-task (pe_name, wcet, power) candidate rows in
@@ -363,3 +383,163 @@ class ListScheduler:
             raise DeadlineMissError(schedule.makespan, graph.deadline)
         return schedule
 
+
+# ----------------------------------------------------------------------
+# lockstep screening
+# ----------------------------------------------------------------------
+def _lockstep_capable(policy: DCPolicy) -> bool:
+    """True when :func:`screen_allocations` runs *policy* in lockstep.
+
+    That needs :meth:`DCPolicy.static_penalty` to give the penalty as a
+    constant per (task, PE) pair.  A subclass that overrides ``penalty``
+    below the class defining the hook has made the inherited hook stale,
+    so it does not qualify either.
+    """
+    mro = type(policy).__mro__
+    hook = next((k for k in mro if "static_penalty" in vars(k)), None)
+    rule = next((k for k in mro if "penalty" in vars(k)), None)
+    if hook is None or rule is None or not issubclass(hook, rule):
+        return False
+    return policy.static_penalty(1.0, 1.0) is not None
+
+
+def screen_allocations(
+    graph: TaskGraph,
+    library: TechnologyLibrary,
+    allocations: Sequence[Architecture],
+    policy: DCPolicy,
+) -> List[Schedule]:
+    """Schedule *graph* on every architecture of *allocations* under *policy*.
+
+    Returns, in allocation order, the schedules that
+    ``ListScheduler(graph, arch, library).run(policy)`` returns (default
+    deadline guard, communication free, no thermal model).  When the
+    policy's :meth:`~repro.core.heuristics.DCPolicy.static_penalty` gives
+    the penalty per (task, PE) pair, all allocations are scheduled together
+    in one array program; otherwise each gets its own ``ListScheduler`` run,
+    which is also the oracle the lockstep path is tested against.  The work
+    runs in a ``cosynth.screen`` span whose ``lockstep`` attribute says
+    which path ran.
+
+    Lockstep state is shaped (allocation × task × PE slot), padded to the
+    largest allocation.  WCET, WCPC and support come from a per-(task,
+    PE type) table, gathered through a per-(allocation, slot) column index.
+    Each step commits one task per allocation with the seed's arithmetic:
+    ``DC = ((SC − WCET) − start) − penalty``, minus ``guard · overrun``
+    (``ListScheduler``'s default guard of 10) where the estimated
+    completion overruns the deadline.  The winner
+    maximises DC; ties go to the earliest finish, then to the first
+    (task, slot) in graph order, then architecture order.
+    """
+    allocations = list(allocations)
+    lockstep = _lockstep_capable(policy)
+    with get_recorder().span(
+        "cosynth.screen", allocations=len(allocations), lockstep=lockstep
+    ):
+        if not lockstep:
+            return [
+                ListScheduler(graph, architecture, library).run(policy)
+                for architecture in allocations
+            ]
+        return _screen_lockstep(graph, library, allocations, policy)
+
+
+def _screen_lockstep(
+    graph: TaskGraph,
+    library: TechnologyLibrary,
+    allocations: List[Architecture],
+    policy: DCPolicy,
+) -> List[Schedule]:
+    """The array program behind :func:`screen_allocations`."""
+    if not allocations:
+        return []
+    tasks = graph.tasks()
+    names = graph.task_names()
+    n_alloc, n_tasks = len(allocations), len(tasks)
+    n_slots = max(len(architecture) for architecture in allocations)
+
+    # per-(allocation, slot) column into the per-(task, PE type) tables
+    type_column: Dict[str, int] = {}
+    column = np.zeros((n_alloc, n_slots), dtype=np.intp)
+    present = np.zeros((n_alloc, n_slots), dtype=bool)
+    for a, architecture in enumerate(allocations):
+        for s, pe in enumerate(architecture):
+            column[a, s] = type_column.setdefault(pe.type_name, len(type_column))
+            present[a, s] = True
+    wcet_table = np.zeros((n_tasks, len(type_column)))
+    power_table = np.zeros((n_tasks, len(type_column)))
+    support_table = np.zeros((n_tasks, len(type_column)), dtype=bool)
+    for t, task in enumerate(tasks):
+        for type_name, k in type_column.items():
+            if library.supports(task, type_name):
+                wcet_table[t, k] = library.wcet(task, type_name)
+                power_table[t, k] = library.power(task, type_name)
+                support_table[t, k] = True
+    supported = (support_table[:, column] & present).transpose(1, 0, 2)
+    for a in np.flatnonzero(~supported.any(axis=2).all(axis=1)):
+        library.check_graph(graph, allocations[a])  # names the first bad task
+        raise InfeasibleAllocationError(
+            f"a task has no supporting PE in {allocations[a].name!r}"
+        )
+    penalty_table = np.broadcast_to(
+        policy.static_penalty(wcet_table, power_table), wcet_table.shape
+    )
+    sc, downstream = _criticality(graph, library)
+    sc = np.array([sc[name] for name in names])
+    downstream = np.array([downstream[name] for name in names])
+
+    index = {name: t for t, name in enumerate(names)}
+    successors = np.zeros((n_tasks, n_tasks), dtype=bool)
+    for edge in graph.edges():
+        successors[index[edge.src], index[edge.dst]] = True
+    waiting = np.broadcast_to(successors.sum(axis=0), (n_alloc, n_tasks)).copy()
+    ready = waiting == 0
+    ready_time = np.zeros((n_alloc, n_tasks))
+    avail = np.zeros((n_alloc, n_slots))
+    rows = np.arange(n_alloc)
+    placed = np.zeros((2, n_alloc, n_tasks), dtype=np.intp)  # task, slot
+    timing = np.zeros((2, n_alloc, n_tasks))  # start, end
+    for step in range(n_tasks):
+        # score only the tasks some allocation has ready, as
+        # (allocation × task × slot); ascending, so row-major order over
+        # (task, slot) stays graph order, then PE order
+        cols = np.flatnonzero(ready.any(axis=0))
+        pick = cols[None, :, None], column[:, None, :]
+        wcet = wcet_table[pick]
+        start = np.maximum(avail[:, None, :], ready_time[:, cols, None])
+        finish = start + wcet
+        dc = ((sc[cols, None] - wcet) - start) - penalty_table[pick]
+        overrun = (finish + downstream[cols, None]) - graph.deadline
+        dc = np.where(overrun > 0.0, dc - _DEADLINE_GUARD * overrun, dc)
+        candidate = supported[:, cols] & ready[:, cols, None]
+        best = np.where(candidate, dc, -np.inf).max(axis=(1, 2), keepdims=True)
+        tied = candidate & (dc == best)
+        earliest = np.where(tied, finish, np.inf).min(axis=(1, 2), keepdims=True)
+        tied &= finish == earliest
+        col_at, slot_at = np.divmod(tied.reshape(n_alloc, -1).argmax(axis=1), n_slots)
+        task_at = cols[col_at]
+        end = finish[rows, col_at, slot_at]
+        placed[:, :, step] = task_at, slot_at
+        timing[:, :, step] = start[rows, col_at, slot_at], end
+        avail[rows, slot_at] = end
+        ready[rows, task_at] = False
+        released = successors[task_at]
+        ready_time = np.where(released, np.maximum(ready_time, end[:, None]), ready_time)
+        waiting -= released
+        ready |= released & (waiting == 0)
+
+    # one allocation's rows at a time, so the Python floats never all
+    # exist at once; powers are shared floats, as in ListScheduler rows
+    power_rows = power_table.tolist()
+    schedules = []
+    for a, architecture in enumerate(allocations):
+        pe_names = [pe.name for pe in architecture]
+        types = column[a].tolist()
+        task_at, slot_at = placed[:, a].tolist()
+        starts, ends = timing[:, a].tolist()
+        assignments = [
+            Assignment(names[t], pe_names[s], begin, end, power_rows[t][types[s]])
+            for t, s, begin, end in zip(task_at, slot_at, starts, ends)
+        ]
+        schedules.append(Schedule(graph, architecture, assignments, policy.name))
+    return schedules

@@ -61,13 +61,15 @@ class FinalCost:
     avg_temp_weight: float = 1.0
     power_weight: float = 0.0
 
-    def __call__(self, evaluation: ScheduleEvaluation) -> float:
+    def __post_init__(self) -> None:
         if (
             self.max_temp_weight < 0.0
             or self.avg_temp_weight < 0.0
             or self.power_weight < 0.0
         ):
             raise CoSynthesisError("final-cost weights must be >= 0")
+
+    def __call__(self, evaluation: ScheduleEvaluation) -> float:
         cost = 0.0
         if not evaluation.meets_deadline:
             cost += _DEADLINE_PENALTY * (1.0 - evaluation.slack)

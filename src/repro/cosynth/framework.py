@@ -7,7 +7,12 @@ the requirement is met.  Our realisation (see DESIGN.md "Substitutions"):
 1. enumerate type-feasible PE allocations from the catalogue;
 2. *screen* each allocation with a cheap schedule (the requested policy, or
    heuristic 3 when the requested policy needs a thermal model that does
-   not exist yet) and rank by deadline feasibility + energy + cost;
+   not exist yet) and rank by deadline feasibility + energy + cost.  All
+   allocations are scheduled together by
+   :func:`~repro.core.scheduler.screen_allocations` — one lockstep array
+   program when the policy's penalty is a per-(task, PE) constant
+   (baseline, heuristics 1 and 3), one ``ListScheduler`` run per
+   allocation otherwise;
 3. for the best few allocations, iterate the paper's inner loop:
    schedule → per-PE average powers → (thermal-aware) floorplan → HotSpot
    model → re-schedule with the real policy — until the floorplan stops
@@ -27,7 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.metrics import ScheduleEvaluation, evaluate_schedule
 from ..core.heuristics import DCPolicy, TaskEnergyPolicy
-from ..core.scheduler import ListScheduler
+from ..core.scheduler import ListScheduler, screen_allocations
 from ..core.schedule import Schedule
 from ..errors import CoSynthesisError
 from ..floorplan.genetic import GeneticConfig, evolve_floorplan
@@ -37,6 +42,7 @@ from ..floorplan.platform import platform_floorplan
 from ..library.pe import Architecture, PEType
 from ..library.presets import default_catalogue
 from ..library.technology import TechnologyLibrary
+from ..obs import get_recorder
 from ..taskgraph.graph import TaskGraph
 from ..thermal.hotspot import HotSpotModel
 from ..thermal.package import PackageConfig, default_package
@@ -174,11 +180,10 @@ class CoSynthesisFramework:
 
         # ---- phase 1: cheap screening ---------------------------------
         screen_policy = self._screening_policy(policy)
+        schedules = screen_allocations(graph, library, allocations, screen_policy)
         ranked: List[Tuple[float, int, Architecture, Schedule]] = []
         rows: List[Dict[str, object]] = []
-        for index, architecture in enumerate(allocations):
-            scheduler = ListScheduler(graph, architecture, library)
-            schedule = scheduler.run(screen_policy)
+        for index, (architecture, schedule) in enumerate(zip(allocations, schedules)):
             cost = screening(schedule)
             ranked.append((cost, index, architecture, schedule))
             rows.append(
@@ -195,53 +200,53 @@ class CoSynthesisFramework:
         # ---- phase 2: floorplan + HotSpot + real policy ----------------
         best: Optional[Tuple[float, int, CoSynthesisResult]] = None
         total_queries = 0
-        for rank_index, (_, alloc_index, architecture, screen_schedule) in enumerate(
-            kept
-        ):
-            schedule = screen_schedule
-            floorplan = None
-            # The paper's "meets requirement?" feedback edge (Figure 1a):
-            # if the policy's schedule overshoots the deadline, re-enter the
-            # loop with the policy's awareness term dialled down until the
-            # requirement is met (or the term vanishes and the schedule is
-            # as fast as this allocation gets).
-            run_policy = policy
-            for backoff in range(4):
-                for _ in range(config.refine_iterations):
-                    powers = schedule.average_powers()
-                    floorplan = self._floorplan(
-                        architecture,
-                        powers,
-                        thermal=config.thermal_floorplanning
-                        and policy.requires_thermal,
-                    )
-                    hotspot = HotSpotModel(floorplan, self.package)
-                    scheduler = ListScheduler(
-                        graph, architecture, library, thermal=hotspot
-                    )
-                    schedule = scheduler.run(run_policy)
-                    total_queries += hotspot.query_count
-                if schedule.meets_deadline or run_policy.weight == 0.0:
-                    break
-                reduced = run_policy.weight / 2.0 if backoff < 2 else 0.0
-                run_policy = type(run_policy)(reduced)
-            evaluation = evaluate_schedule(schedule, floorplan=floorplan,
-                                           package=self.package)
-            cost = final_cost(evaluation)
-            result = CoSynthesisResult(
-                architecture=architecture,
-                floorplan=floorplan,
-                schedule=schedule,
-                evaluation=evaluation,
-                candidates_screened=len(allocations),
-                candidates_evaluated=len(kept),
-                screening_rows=rows,
-                hotspot_queries=total_queries,
-            )
-            if best is None or (cost, rank_index) < (best[0], best[1]):
-                best = (cost, rank_index, result)
+        with get_recorder().span("cosynth.refine", candidates=len(kept)):
+            for rank_index, (_, _, architecture, schedule) in enumerate(kept):
+                floorplan = None
+                # The paper's "meets requirement?" feedback edge (Figure 1a):
+                # if the policy's schedule overshoots the deadline, re-enter
+                # the loop with the policy's awareness term dialled down until
+                # the requirement is met (or the term vanishes and the
+                # schedule is as fast as this allocation gets).
+                run_policy = policy
+                for backoff in range(4):
+                    for _ in range(config.refine_iterations):
+                        powers = schedule.average_powers()
+                        floorplan = self._floorplan(
+                            architecture,
+                            powers,
+                            thermal=config.thermal_floorplanning
+                            and policy.requires_thermal,
+                        )
+                        hotspot = HotSpotModel(floorplan, self.package)
+                        scheduler = ListScheduler(
+                            graph, architecture, library, thermal=hotspot
+                        )
+                        schedule = scheduler.run(run_policy)
+                        total_queries += hotspot.query_count
+                    if schedule.meets_deadline or run_policy.weight == 0.0:
+                        break
+                    reduced = run_policy.weight / 2.0 if backoff < 2 else 0.0
+                    run_policy = type(run_policy)(reduced)
+                evaluation = evaluate_schedule(
+                    schedule, floorplan=floorplan, package=self.package
+                )
+                cost = final_cost(evaluation)
+                result = CoSynthesisResult(
+                    architecture=architecture,
+                    floorplan=floorplan,
+                    schedule=schedule,
+                    evaluation=evaluation,
+                    candidates_screened=len(allocations),
+                    candidates_evaluated=len(kept),
+                    screening_rows=rows,
+                )
+                if best is None or (cost, rank_index) < (best[0], best[1]):
+                    best = (cost, rank_index, result)
 
         result = best[2]
+        # every kept allocation's solves, not the running total at the winner
+        result.hotspot_queries = total_queries
         if strict and not result.meets_deadline:
             raise CoSynthesisError(
                 f"no evaluated allocation meets deadline {graph.deadline} for "

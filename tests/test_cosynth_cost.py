@@ -12,6 +12,7 @@ from repro.cosynth.cost import (
     screening_cost,
     thermal_final_cost,
 )
+from repro.errors import CoSynthesisError
 
 
 def make_eval(max_temp=100.0, avg_temp=90.0, power=20.0, makespan=500.0,
@@ -51,6 +52,14 @@ class TestFinalCost:
     def test_weight_mixing(self):
         cost = FinalCost(max_temp_weight=2.0, avg_temp_weight=0.0, power_weight=1.0)
         assert cost(make_eval()) == pytest.approx(2.0 * 100.0 + 20.0)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [{"max_temp_weight": -1}, {"avg_temp_weight": -0.5}, {"power_weight": -2.0}],
+    )
+    def test_negative_weight_rejected_at_construction(self, weights):
+        with pytest.raises(CoSynthesisError):
+            FinalCost(**weights)
 
 
 class TestScreeningCost:

@@ -136,6 +136,38 @@ class TestFeasibilityChecks:
             scheduler.run(ThermalPolicy())
 
 
+class TestDeadlineGuard:
+    """H1 prefers the slow, low-power PE for a lone t0 task (finish 20);
+    a deadline of 15 makes the guard pull it back onto the fast PE."""
+
+    def lone_task(self, deadline):
+        graph = TaskGraph("one", deadline)
+        graph.add("only", "t0")
+        return graph
+
+    def test_guard_keeps_the_power_trade_inside_the_deadline(
+        self, two_pe_arch, simple_lib
+    ):
+        loose = ListScheduler(self.lone_task(100.0), two_pe_arch, simple_lib)
+        tight = ListScheduler(self.lone_task(15.0), two_pe_arch, simple_lib)
+        assert loose.run(TaskPowerPolicy()).assignment("only").pe == "pe1"
+        assert tight.run(TaskPowerPolicy()).assignment("only").pe == "pe0"
+
+    def test_guard_zero_is_the_pure_paper_equation(self, two_pe_arch, simple_lib):
+        scheduler = ListScheduler(
+            self.lone_task(15.0), two_pe_arch, simple_lib, deadline_guard=0.0
+        )
+        schedule = scheduler.run(TaskPowerPolicy())
+        assert schedule.assignment("only").pe == "pe1"
+        assert not schedule.meets_deadline
+
+    def test_negative_guard_rejected(self, two_pe_arch, simple_lib):
+        with pytest.raises(InfeasibleAllocationError):
+            ListScheduler(
+                self.lone_task(15.0), two_pe_arch, simple_lib, deadline_guard=-1.0
+            )
+
+
 class TestHeterogeneousChoices:
     def test_h1_prefers_low_power_pe(self, two_pe_arch, simple_lib):
         # one task, huge weight: slow PE draws 3 W vs fast 8 W
