@@ -25,11 +25,14 @@ zero turns any policy into the baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, TYPE_CHECKING
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, TYPE_CHECKING
 
-from ..errors import SchedulingError
+from ..errors import FlowError, SchedulingError
 from ..power.model import PowerAccumulator
+from ..registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..thermal.hotspot import HotSpotModel
@@ -108,8 +111,10 @@ class DCPolicy:
     requires_thermal = False
 
     def __init__(self, weight: float = 1.0):
-        if weight < 0.0:
-            raise SchedulingError(f"policy weight must be >= 0, got {weight}")
+        if not (math.isfinite(weight) and weight >= 0.0):
+            raise SchedulingError(
+                f"policy weight must be a finite number >= 0, got {weight}"
+            )
         self.weight = weight
 
     def penalty(self, ctx: DCContext) -> float:
@@ -132,6 +137,60 @@ class DCPolicy:
         return f"{type(self).__name__}(weight={self.weight})"
 
 
+#: Name → policy class registry: the built-ins below in the paper's
+#: order, then ``repro.extensions.policies`` (imported by the package
+#: root) and any user policy added through :func:`register_dc_policy`.
+POLICIES = Registry("DC policy")
+
+
+def register_dc_policy(cls: type) -> type:
+    """Register a :class:`DCPolicy` subclass under its ``name`` attribute.
+
+    Usable as a decorator.  Registration is idempotent for the same class;
+    re-using a taken name (in either ``-``/``_`` spelling) for a
+    *different* class raises :class:`~repro.errors.SchedulingError`
+    (silent shadowing would change what every spec naming that policy
+    means).
+    """
+    if not (isinstance(cls, type) and issubclass(cls, DCPolicy)):
+        raise SchedulingError(f"can only register DCPolicy subclasses, got {cls!r}")
+    name = getattr(cls, "name", None)
+    if not name or name == "abstract":
+        raise SchedulingError(f"policy class {cls.__name__} needs a `name` attribute")
+    try:
+        return POLICIES.register(name, cls)
+    except FlowError as exc:
+        raise SchedulingError(str(exc)) from None
+
+
+class _PolicyNames(Sequence):
+    """Live, ordered view of :data:`POLICIES`' names that behaves like
+    the tuple it replaced (iteration, ``len``, indexing, ``in``, equality
+    with sequences)."""
+
+    def __getitem__(self, index):
+        return POLICIES.names()[index]
+
+    def __len__(self) -> int:
+        return len(POLICIES)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (_PolicyNames, tuple, list)):
+            return POLICIES.names() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(POLICIES.names())
+
+    def __repr__(self) -> str:
+        return repr(POLICIES.names())
+
+
+#: All registered policy names (live view — extension policies included).
+POLICY_NAMES = _PolicyNames()
+
+
+@register_dc_policy
 class BaselinePolicy(DCPolicy):
     """The traditional ASP: no power/thermal term at all."""
 
@@ -147,6 +206,7 @@ class BaselinePolicy(DCPolicy):
         return 0.0
 
 
+@register_dc_policy
 class TaskPowerPolicy(DCPolicy):
     """Heuristic 1: minimise the power of the current task.
 
@@ -167,6 +227,7 @@ class TaskPowerPolicy(DCPolicy):
         return self.weight * power
 
 
+@register_dc_policy
 class CumulativePowerPolicy(DCPolicy):
     """Heuristic 2: minimise the cumulative average power of the PE.
 
@@ -187,6 +248,7 @@ class CumulativePowerPolicy(DCPolicy):
         return self.weight * averages[ctx.pe_name]
 
 
+@register_dc_policy
 class TaskEnergyPolicy(DCPolicy):
     """Heuristic 3: minimise the energy of the current task.
 
@@ -206,6 +268,7 @@ class TaskEnergyPolicy(DCPolicy):
         return self.weight * (wcet * power)
 
 
+@register_dc_policy
 class ThermalPolicy(DCPolicy):
     """Thermal-aware ASP: minimise the average temperature (``Avg_Temp``).
 
@@ -248,106 +311,19 @@ class ThermalPolicy(DCPolicy):
         return self.weight * avg_temp
 
 
-#: Name → policy class registry, in the paper's presentation order.  The
-#: dict is mutable: :func:`register_dc_policy` lets extension modules (and
-#: user code) add policies that then resolve through :func:`policy_by_name`
-#: exactly like the built-ins.  ``repro.extensions.policies`` registers the
-#: thermal-peak / thermal-hybrid variants at import time, and importing any
-#: ``repro`` module imports the package root (which imports extensions), so
-#: the registry is complete by the time user code can call into it.
-_REGISTRY: Dict[str, type] = {
-    cls.name: cls
-    for cls in (
-        BaselinePolicy,
-        TaskPowerPolicy,
-        CumulativePowerPolicy,
-        TaskEnergyPolicy,
-        ThermalPolicy,
-    )
-}
-
-
-def register_dc_policy(cls: type) -> type:
-    """Register a :class:`DCPolicy` subclass under its ``name`` attribute.
-
-    Usable as a decorator.  Registration is idempotent for the same class;
-    re-using an existing name for a *different* class raises
-    :class:`~repro.errors.SchedulingError` (silent shadowing would change
-    what every spec naming that policy means).
-    """
-    if not (isinstance(cls, type) and issubclass(cls, DCPolicy)):
-        raise SchedulingError(f"can only register DCPolicy subclasses, got {cls!r}")
-    name = getattr(cls, "name", None)
-    if not name or name == "abstract":
-        raise SchedulingError(f"policy class {cls.__name__} needs a `name` attribute")
-    current = _REGISTRY.get(name)
-    if current is not None and current is not cls:
-        raise SchedulingError(
-            f"policy name {name!r} already registered to {current.__name__}"
-        )
-    _REGISTRY[name] = cls
-    return cls
-
-
-class _PolicyNames:
-    """Live, ordered view of the registered policy names.
-
-    Behaves like the tuple it replaced (iteration, ``len``, indexing,
-    ``in``, equality with sequences) but always reflects the current
-    registry, including policies registered after this module was imported.
-    """
-
-    def _tuple(self) -> tuple:
-        return tuple(_REGISTRY)
-
-    def __iter__(self):
-        return iter(self._tuple())
-
-    def __len__(self) -> int:
-        return len(_REGISTRY)
-
-    def __getitem__(self, index):
-        return self._tuple()[index]
-
-    def __contains__(self, name: object) -> bool:
-        return name in _REGISTRY
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _PolicyNames):
-            return True
-        if isinstance(other, (tuple, list)):
-            return self._tuple() == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._tuple())
-
-    def __repr__(self) -> str:
-        return repr(self._tuple())
-
-
-#: All registered policy names (live view — extension policies included).
-POLICY_NAMES = _PolicyNames()
-
-
 def policy_by_name(name: str, weight: Optional[float] = None, **params) -> DCPolicy:
     """Instantiate a policy from its registry name.
 
     ``weight=None`` keeps each policy's calibrated default.  Underscores
-    and hyphens are interchangeable (``"thermal_peak"`` == ``"thermal-peak"``).
+    and hyphens are interchangeable (``"thermal_peak"`` == ``"thermal-peak"``),
+    as in every :class:`~repro.registry.Registry`.
     Extra keyword arguments are forwarded to the policy constructor (e.g.
     ``peak_fraction=`` for the hybrid thermal policy).
     """
-    text = str(name)
-    cls = (
-        _REGISTRY.get(text)
-        or _REGISTRY.get(text.replace("_", "-"))
-        or _REGISTRY.get(text.replace("-", "_"))
-    )
-    if cls is None:
-        raise SchedulingError(
-            f"unknown DC policy {name!r}; available: {POLICY_NAMES}"
-        )
+    try:
+        cls = POLICIES.get(name)
+    except FlowError as exc:
+        raise SchedulingError(str(exc)) from None
     if weight is not None:
         params["weight"] = weight
     try:

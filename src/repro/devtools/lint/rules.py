@@ -890,10 +890,12 @@ class RegistryConsistencyRule(LintRule):
     """REG001 — registries, CLI listings and docs must agree.
 
     Every registered component (flows, policies, floorplanners, thermal
-    solvers, catalogues, scenarios, analyzers, lint rules) must resolve
-    through its registry, appear in the CLI's listing commands, and be
-    named somewhere in the docs — a component that exists but is
-    undiscoverable (or documented but gone) is how drift starts.
+    solvers, catalogues, scenarios, analyzers, experiments, lint rules,
+    DSE strategies) must resolve through its shared
+    :class:`~repro.registry.Registry`, appear in the CLI's listing
+    commands, and be named somewhere in the docs — a component that
+    exists but is undiscoverable (or documented but gone) is how drift
+    starts.
     Runs only when the linted tree is the repro repo itself.
     """
 
@@ -912,14 +914,14 @@ class RegistryConsistencyRule(LintRule):
         import io
 
         from ... import cli
+        from ...core.heuristics import POLICIES
+        from ...dse.strategies import STRATEGIES
         from ...experiments.runner import EXPERIMENTS
-        from ...flow import registry as flow_registry
-        from ...library.catalogues import catalogue_by_name, catalogue_names
-        from ...results import analyzer_names, analyzers as results_analyzers
-        from ...scenarios import scenario_by_name, scenario_names, suites
-        from ...core import heuristics
-        from ...dse import strategies as dse_strategies
-        from . import engine as lint_engine
+        from ...flow.registry import FLOORPLANNERS, FLOWS, THERMAL_SOLVERS
+        from ...library.catalogues import CATALOGUES
+        from ...results.analyzers import ANALYZERS
+        from ...scenarios.suites import SCENARIOS
+        from .engine import LINT_RULES
 
         listing = io.StringIO()
         with contextlib.redirect_stdout(listing):
@@ -933,33 +935,22 @@ class RegistryConsistencyRule(LintRule):
                 docs_text += doc.read_text(encoding="utf-8")
 
         checks = (
-            # kind, names, resolver, defining module
-            ("flow", flow_registry.flow_names(),
-             flow_registry.FLOWS.get, "src/repro/flow/registry.py"),
-            ("policy", flow_registry.policy_names(),
-             heuristics.policy_by_name, "src/repro/core/heuristics.py"),
-            ("floorplanner", flow_registry.floorplanner_names(),
-             flow_registry.FLOORPLANNERS.get, "src/repro/flow/registry.py"),
-            ("thermal solver", flow_registry.thermal_solver_names(),
-             flow_registry.THERMAL_SOLVERS.get, "src/repro/flow/registry.py"),
-            ("catalogue", catalogue_names(),
-             catalogue_by_name, "src/repro/library/catalogues.py"),
-            ("scenario", scenario_names(),
-             scenario_by_name, "src/repro/scenarios/suites.py"),
-            ("analyzer", analyzer_names(),
-             results_analyzers.ANALYZERS.get, "src/repro/results/analyzers.py"),
-            ("experiment", tuple(sorted(EXPERIMENTS)),
-             EXPERIMENTS.__getitem__, "src/repro/experiments/runner.py"),
-            ("lint rule", lint_engine.rule_names(),
-             lint_engine.LINT_RULES.get, "src/repro/devtools/lint/rules.py"),
-            ("dse strategy", dse_strategies.strategy_names(),
-             dse_strategies.STRATEGIES.get, "src/repro/dse/strategies.py"),
+            # kind, registry, defining module
+            ("flow", FLOWS, "src/repro/flow/registry.py"),
+            ("policy", POLICIES, "src/repro/core/heuristics.py"),
+            ("floorplanner", FLOORPLANNERS, "src/repro/flow/registry.py"),
+            ("thermal solver", THERMAL_SOLVERS, "src/repro/flow/registry.py"),
+            ("catalogue", CATALOGUES, "src/repro/library/catalogues.py"),
+            ("scenario", SCENARIOS, "src/repro/scenarios/suites.py"),
+            ("analyzer", ANALYZERS, "src/repro/results/analyzers.py"),
+            ("experiment", EXPERIMENTS, "src/repro/experiments/runner.py"),
+            ("lint rule", LINT_RULES, "src/repro/devtools/lint/rules.py"),
+            ("dse strategy", STRATEGIES, "src/repro/dse/strategies.py"),
         )
-        del suites  # imported for its registration side effects only
-        for kind, names, resolver, module in checks:
-            for name in names:
+        for kind, registry, module in checks:
+            for name in registry.names():
                 try:
-                    resolver(name)
+                    registry.get(name)
                 # a failing lookup of any shape IS the reported finding
                 except Exception as exc:  # repro: noqa[EXC001] -- converted to a REG001 violation, not swallowed
                     yield Violation(

@@ -18,9 +18,10 @@ from __future__ import annotations
 # like repro/cli.py
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from ..errors import ExperimentError
+from ..errors import ExperimentError, FlowError
+from ..registry import Registry
 from .figure1 import format_figure1, run_figure1
 from .table1 import format_table1, run_table1
 from .table2 import format_table2, run_table2
@@ -29,23 +30,19 @@ from .table3 import format_table3, run_table3
 __all__ = ["EXPERIMENTS", "run_experiment", "build_parser", "main"]
 
 #: id -> (runner, formatter) registry.
-EXPERIMENTS: Dict[str, Tuple[Callable, Callable]] = {
-    "table1": (run_table1, format_table1),
-    "table2": (run_table2, format_table2),
-    "table3": (run_table3, format_table3),
-    "figure1": (run_figure1, format_figure1),
-}
+EXPERIMENTS = Registry("experiment")
+EXPERIMENTS.register("table1", (run_table1, format_table1))
+EXPERIMENTS.register("table2", (run_table2, format_table2))
+EXPERIMENTS.register("table3", (run_table3, format_table3))
+EXPERIMENTS.register("figure1", (run_figure1, format_figure1))
 
 
 def run_experiment(experiment_id: str, **kwargs) -> str:
     """Run one experiment by id and return its formatted report."""
     try:
-        runner, formatter = EXPERIMENTS[experiment_id]
-    except KeyError:
-        raise ExperimentError(
-            f"unknown experiment {experiment_id!r}; "
-            f"available: {sorted(EXPERIMENTS)}"
-        )
+        runner, formatter = EXPERIMENTS.get(experiment_id)
+    except FlowError as exc:
+        raise ExperimentError(str(exc)) from None
     return formatter(runner(**kwargs))
 
 

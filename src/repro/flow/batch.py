@@ -70,22 +70,15 @@ from ..resilience.faults import (
 from ..resilience.report import RunReport
 from ..resilience.retry import RetryBudget, RetryPolicy, sleep_for
 from .runner import Flow, FlowResult
-from .spec import FlowSpec, spec_hash
+from .spec import UNCACHEABLE_GRAPH_KINDS, FlowSpec, spec_hash
 
 __all__ = ["run_many", "iter_results", "clear_cache", "prune_cache"]
 
 _CACHE_SUFFIX = ".flowresult.pkl"
 
-#: Graph-source kinds whose workload lives outside the spec (a file on
-#: disk, a registered factory).  ``spec_hash`` cannot see their content,
-#: so the persistent cache would happily replay a stale result after the
-#: file or factory changed — these kinds always recompute.
-_UNCACHEABLE_GRAPH_KINDS = ("file", "registered")
-
-
 def _cacheable(spec: FlowSpec) -> bool:
     """Whether *spec* is fully determined by its own JSON."""
-    return spec.graph.kind not in _UNCACHEABLE_GRAPH_KINDS
+    return spec.graph.kind not in UNCACHEABLE_GRAPH_KINDS
 
 
 def _cache_path(cache_dir: Path, digest: str) -> Path:

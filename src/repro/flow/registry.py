@@ -1,11 +1,11 @@
 """String-keyed component registries behind the flow facade.
 
-Four registries resolve every pluggable stage of a
-:class:`~repro.flow.spec.FlowSpec`:
+Each pluggable stage of a :class:`~repro.flow.spec.FlowSpec` resolves by
+name through a shared :class:`repro.registry.Registry`:
 
-* **policies** — the DC policy registry (shared with
-  :func:`repro.core.heuristics.policy_by_name`; registering here makes a
-  policy reachable from legacy code and from specs alike);
+* **policies** — ``DCPolicy`` classes, held by
+  :data:`repro.core.heuristics.POLICIES` (what
+  :func:`~repro.core.heuristics.policy_by_name` reads);
 * **floorplanners** — ``(architecture, FloorplanSpec) -> Floorplan``;
 * **thermal solvers** — ``(floorplan, package, ThermalSpec) -> model``
   exposing the HotSpot facade interface (``block_temperatures`` /
@@ -14,17 +14,15 @@ Four registries resolve every pluggable stage of a
   runners (``"platform"`` and ``"cosynthesis"`` built in).
 
 Unknown names raise :class:`~repro.errors.FlowError` carrying the
-available set, mirroring the ``SchedulingError`` shape of the policy
-registry.  Lookup treats hyphens and underscores as interchangeable (the
-shared :class:`repro.registry.Registry` behaviour), again mirroring the
-policy registry.
+available set, except through the policy entry points, whose public
+contract is :class:`~repro.errors.SchedulingError`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Tuple
 
-from ..core.heuristics import POLICY_NAMES, policy_by_name, register_dc_policy
+from ..core.heuristics import POLICIES, policy_by_name, register_dc_policy
 from ..floorplan.genetic import evolve_floorplan
 from ..floorplan.annealing import anneal_floorplan
 from ..floorplan.platform import grid_floorplan, platform_floorplan, row_floorplan
@@ -58,12 +56,7 @@ FLOWS = Registry("flow")
 # public registration entry points
 # ----------------------------------------------------------------------
 def register_policy(cls: type) -> type:
-    """Register a DC policy class under its ``name`` (decorator-friendly).
-
-    Delegates to the core registry, so the policy becomes reachable both
-    from ``PolicySpec(name=...)`` and from the legacy
-    :func:`repro.policy_by_name`.
-    """
+    """Register a DC policy class under its ``name`` (decorator-friendly)."""
     return register_dc_policy(cls)
 
 
@@ -84,7 +77,7 @@ def register_flow(name: str, runner: Optional[Callable] = None) -> Callable:
 
 def policy_names() -> Tuple[str, ...]:
     """All registered DC policy names (extensions included)."""
-    return tuple(POLICY_NAMES)
+    return POLICIES.names()
 
 
 def floorplanner_names() -> Tuple[str, ...]:
@@ -105,9 +98,10 @@ def flow_names() -> Tuple[str, ...]:
 def build_policy(spec) -> object:
     """Instantiate the DC policy a :class:`PolicySpec` describes.
 
-    Unknown names surface the core registry's ``SchedulingError`` wrapped
-    as :class:`FlowError` is *not* done here on purpose: the error shape
-    of ``policy_by_name`` is part of the public contract.
+    Errors keep the :class:`~repro.errors.SchedulingError` shape of
+    :func:`~repro.core.heuristics.policy_by_name` (unknown name, bad
+    parameter, invalid weight); they are not rewrapped as ``FlowError``
+    because that shape is part of the public contract.
     """
     params = {}
     if spec.peak_fraction is not None:
@@ -179,64 +173,10 @@ def _hotspot_solver(floorplan, package, spec):
     return HotSpotModel(floorplan, package)
 
 
-class _GridSolverAdapter:
-    """Give :class:`GridModel` the HotSpot facade surface the ASP expects."""
-
-    def __init__(self, floorplan, package):
-        self._model = GridModel(floorplan, package=package)
-        self._block_names = floorplan.block_names()
-        self._queries = 0
-
-    @property
-    def block_names(self):
-        """Names of the queryable blocks (PE instances).
-
-        Exposed so post-passes (the leakage fixed point) run on *this*
-        model rather than silently substituting another solver.
-        """
-        return list(self._block_names)
-
-    @property
-    def query_count(self) -> int:
-        """Solves issued through this adapter."""
-        return self._queries
-
-    @property
-    def query_stats(self):
-        """Profiling counters, mirroring ``HotSpotModel.query_stats``."""
-        engine = self._model._engine
-        return {
-            "queries": self._queries,
-            "solver_solves": self._model._solver.solve_count,
-            "engine_built": int(engine is not None),
-            "engine_setup_solves": engine.setup_solves if engine else 0,
-            "engine_fast_queries": engine.fast_queries if engine else 0,
-        }
-
-    def query_engine(self):
-        """The grid model's vectorized block-query engine (scheduler fast
-        path — same contract as ``HotSpotModel.query_engine``)."""
-        return self._model.query_engine()
-
-    def block_temperatures(self, power_by_block):
-        """Per-block temperatures (cell averages) for one power vector."""
-        self._queries += 1
-        return self._model.block_temperatures(power_by_block)
-
-    def peak_temperature(self, power_by_block) -> float:
-        """Hottest block temperature for one power vector."""
-        return max(self.block_temperatures(power_by_block).values())
-
-    def average_temperature(self, power_by_block) -> float:
-        """Mean block temperature for one power vector."""
-        temps = self.block_temperatures(power_by_block)
-        return sum(temps.values()) / len(temps)
-
-
 @register_thermal_solver("gridmodel")
 def _grid_solver(floorplan, package, spec):
     """Grid-discretised thermal model (finer, slower; validation solver)."""
-    return _GridSolverAdapter(floorplan, package)
+    return GridModel(floorplan, package=package)
 
 
 # The "platform" and "cosynthesis" flow runners are registered by

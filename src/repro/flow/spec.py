@@ -99,6 +99,12 @@ class _FlatSpec:
 #: Workload source kinds a :class:`GraphSourceSpec` may name.
 GRAPH_SOURCE_KINDS = ("benchmark", "conditional", "generated", "file", "registered")
 
+#: Graph-source kinds whose workload lives outside the spec (a file on
+#: disk, a registered factory).  ``spec_hash`` cannot see their content,
+#: so no content-addressed cache (the ``run_many`` result cache, the serve
+#: engine cache) may key them by hash — they are always rebuilt.
+UNCACHEABLE_GRAPH_KINDS = ("file", "registered")
+
 #: GraphSourceSpec fields meaningful only for ``kind="generated"``.
 _GENERATED_FIELDS = (
     "family", "tasks", "seed", "width", "density", "ccr", "deadline_slack",

@@ -1,12 +1,11 @@
 """The shared name → component registry used across the package.
 
 Every pluggable stage — DC policies, floorplanners, thermal solvers, flow
-kinds, PE catalogues, workloads, scenario suites — resolves through one
-:class:`Registry` so lookup behaviour is uniform everywhere:
+kinds, PE catalogues, workloads, scenario suites, experiments — resolves
+through one :class:`Registry` so lookup behaviour is uniform everywhere:
 
 * **normalized names** — hyphens and underscores are interchangeable on
-  lookup (``"thermal_peak"`` resolves ``"thermal-peak"``), matching the
-  long-standing behaviour of the policy registry;
+  lookup (``"thermal_peak"`` resolves ``"thermal-peak"``);
 * **no silent shadowing** — re-registering a taken name (in either
   spelling) with a different component raises
   :class:`~repro.errors.FlowError`, because shadowing would change the
@@ -17,7 +16,7 @@ kinds, PE catalogues, workloads, scenario suites — resolves through one
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from .errors import FlowError
 
@@ -75,8 +74,7 @@ class Registry:
     def get(self, name: str) -> Callable:
         """The component for *name*; unknown names raise :class:`FlowError`.
 
-        Hyphens and underscores are interchangeable, mirroring
-        :func:`repro.core.heuristics.policy_by_name`.
+        Hyphens and underscores are interchangeable.
         """
         stored = self._canonical.get(normalize_name(name))
         if stored is None:
@@ -104,6 +102,12 @@ class Registry:
     def names(self) -> Tuple[str, ...]:
         """Registered names (as registered), in registration order."""
         return tuple(self._items)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.names())
+
+    def __len__(self) -> int:
+        return len(self._items)
 
     def __contains__(self, name: object) -> bool:
         if not isinstance(name, str):

@@ -39,7 +39,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..caching import LRUCache
 from ..flow.registry import FLOORPLANNERS, THERMAL_SOLVERS
-from ..flow.spec import FloorplanSpec, FlowSpec
+from ..flow.spec import UNCACHEABLE_GRAPH_KINDS, FloorplanSpec, FlowSpec
 from ..thermal.hotspot import HotSpotModel
 
 __all__ = [
@@ -188,12 +188,6 @@ class EngineCache:
     the benchmark baseline and an operator escape hatch.
     """
 
-    #: Graph-source kinds whose content lives outside the spec; their
-    #: workloads are rebuilt per request rather than served from a hash
-    #: the content can drift under (same rule as the batch result
-    #: cache's ``_UNCACHEABLE_GRAPH_KINDS``).
-    UNCACHEABLE_GRAPH_KINDS = ("file", "registered")
-
     def __init__(
         self,
         max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
@@ -217,7 +211,7 @@ class EngineCache:
         """
         from ..scenarios.workloads import build_workload  # late: cyclic
 
-        if spec.graph.kind in self.UNCACHEABLE_GRAPH_KINDS:
+        if spec.graph.kind in UNCACHEABLE_GRAPH_KINDS:
             with self._lock:
                 self.workload_bypasses += 1
             return build_workload(

@@ -91,6 +91,7 @@ class GridModel:
         self.network = self._build_network()
         self._solver = SteadyStateSolver(self.network)
         self._engine: Optional[ThermalQueryEngine] = None
+        self._queries = 0
 
         # coverage matrices, hoisted out of the per-query loops:
         #   _power_split[c, b]  — fraction of block b's power landing on
@@ -234,6 +235,28 @@ class GridModel:
         """Block names defining the index space of the array APIs."""
         return self._block_order
 
+    @property
+    def block_names(self) -> List[str]:
+        """Names of the queryable blocks (PE instances)."""
+        return list(self._block_order)
+
+    @property
+    def query_count(self) -> int:
+        """Number of :meth:`block_temperatures` queries answered so far."""
+        return self._queries
+
+    @property
+    def query_stats(self) -> Dict[str, int]:
+        """Profiling counters, mirroring ``HotSpotModel.query_stats``."""
+        engine = self._engine
+        return {
+            "queries": self._queries,
+            "solver_solves": self._solver.solve_count,
+            "engine_built": int(engine is not None),
+            "engine_setup_solves": engine.setup_solves if engine else 0,
+            "engine_fast_queries": engine.fast_queries if engine else 0,
+        }
+
     def query_engine(self) -> ThermalQueryEngine:
         """Vectorized block-power → block-temperature engine.
 
@@ -313,6 +336,7 @@ class GridModel:
         This is the quantity comparable with the block model's node
         temperatures.
         """
+        self._queries += 1
         rise = self._solver.solve_rise(
             self._node_power_vector(self.block_power_vector(power_by_block))
         )
@@ -325,6 +349,15 @@ class GridModel:
             )
             if covered
         }
+
+    def peak_temperature(self, power_by_block: Mapping[str, float]) -> float:
+        """Hottest block temperature (°C)."""
+        return max(self.block_temperatures(power_by_block).values())
+
+    def average_temperature(self, power_by_block: Mapping[str, float]) -> float:
+        """Mean block temperature (°C) — the ``Avg_Temp`` DC term."""
+        temps = self.block_temperatures(power_by_block)
+        return sum(temps.values()) / len(temps)
 
     def block_temperatures_many(self, powers: np.ndarray) -> np.ndarray:
         """Batched block query: ``(k, n_blocks)`` W → ``(k, n_blocks)`` °C.

@@ -95,3 +95,39 @@ class TestAgreementWithBlockModel:
         grid_temps = grid_model.block_temperatures(powers)
         grid_avg = sum(grid_temps.values()) / len(grid_temps)
         assert abs(block_avg - grid_avg) < 6.0
+
+
+class TestRegisteredSolver:
+    """``THERMAL_SOLVERS.get("gridmodel")`` is the grid model itself,
+    carrying the HotSpot facade surface the flow runner reads."""
+
+    @pytest.fixture
+    def solver(self, two_block_plan):
+        from repro.flow.registry import THERMAL_SOLVERS
+        from repro.thermal.package import default_package
+
+        return THERMAL_SOLVERS.get("gridmodel")(
+            two_block_plan, default_package(), None
+        )
+
+    def test_factory_returns_a_grid_model(self, solver):
+        assert isinstance(solver, GridModel)
+        assert solver.block_names == ["left", "right"]
+
+    def test_query_count_counts_block_queries(self, solver):
+        powers = {"left": 5.0, "right": 1.0}
+        assert solver.query_count == 0
+        solver.block_temperatures(powers)
+        assert solver.query_count == 1
+        temps = solver.block_temperatures(powers)
+        assert solver.peak_temperature(powers) == max(temps.values())
+        assert solver.average_temperature(powers) == pytest.approx(
+            sum(temps.values()) / len(temps)
+        )
+        assert solver.query_count == 4
+        assert solver.query_stats["queries"] == 4
+
+    def test_query_stats_keys_match_hotspot(self, solver, two_block_plan):
+        assert set(solver.query_stats) == set(
+            HotSpotModel(two_block_plan).query_stats
+        )

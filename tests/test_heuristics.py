@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.heuristics import (
+    POLICIES,
     POLICY_NAMES,
     BaselinePolicy,
     CumulativePowerPolicy,
@@ -69,11 +70,12 @@ class TestRegistry:
         assert isinstance(hybrid, HybridThermalPolicy)
         assert hybrid.peak_fraction == 0.25
 
-    def test_hyphen_resolves_underscore_registered_names(self, monkeypatch):
-        from repro.core import heuristics
-
-        monkeypatch.setitem(heuristics._REGISTRY, "tmp_policy", TaskPowerPolicy)
-        assert isinstance(policy_by_name("tmp-policy"), TaskPowerPolicy)
+    def test_hyphen_resolves_underscore_registered_names(self):
+        POLICIES.register("tmp_policy", TaskPowerPolicy)
+        try:
+            assert isinstance(policy_by_name("tmp-policy"), TaskPowerPolicy)
+        finally:
+            POLICIES.unregister("tmp_policy")
 
     def test_unknown_name_rejected(self):
         with pytest.raises(SchedulingError):
@@ -92,9 +94,60 @@ class TestRegistry:
         with pytest.raises(SchedulingError):
             register_dc_policy(Impostor)
 
+    def test_register_rejects_other_spelling_of_taken_name(self):
+        """``thermal_peak`` and ``thermal-peak`` are one name: a different
+        class cannot take it under the other spelling."""
+        from repro.core.heuristics import register_dc_policy
+        from repro.extensions.policies import ThermalPeakPolicy
+
+        class Impostor(ThermalPolicy):
+            name = "thermal_peak"
+
+        before = tuple(POLICY_NAMES)
+        with pytest.raises(SchedulingError, match="already registered"):
+            register_dc_policy(Impostor)
+        assert tuple(POLICY_NAMES) == before
+        assert isinstance(policy_by_name("thermal_peak"), ThermalPeakPolicy)
+
+    def test_register_is_idempotent_for_the_same_class(self):
+        from repro.core.heuristics import register_dc_policy
+
+        before = tuple(POLICY_NAMES)
+        assert register_dc_policy(TaskPowerPolicy) is TaskPowerPolicy
+        assert tuple(POLICY_NAMES) == before
+
+    def test_names_view_is_live(self):
+        from repro.core.heuristics import register_dc_policy
+
+        class LiveViewPolicy(TaskPowerPolicy):
+            name = "live-view-policy"
+
+        register_dc_policy(LiveViewPolicy)
+        try:
+            assert POLICY_NAMES[-1] == "live-view-policy"
+            assert "live-view-policy" in POLICY_NAMES
+            assert len(POLICY_NAMES) == len(POLICIES)
+        finally:
+            POLICIES.unregister("live-view-policy")
+        assert "live-view-policy" not in POLICY_NAMES
+
     def test_negative_weight_rejected(self):
         with pytest.raises(SchedulingError):
             TaskPowerPolicy(-1.0)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(SchedulingError, match=repr(weight)):
+            policy_by_name("heuristic3", weight=weight)
+
+    def test_nan_policy_spec_rejected_by_run_flow(self):
+        import repro
+
+        spec = repro.platform_spec(
+            "Bm1", policy="heuristic3", weight=float("nan")
+        )
+        with pytest.raises(SchedulingError):
+            repro.run_flow(spec)
 
 
 class TestPenalties:

@@ -230,21 +230,25 @@ class TestRegistries:
         with pytest.raises(FlowSpecError):
             register_scenario("paper-tables")
 
-    def test_policy_ablation_sees_late_registrations(self, monkeypatch):
+    def test_policy_ablation_sees_late_registrations(self):
         """The suite is built per lookup, so a policy registered after
         import still joins the ablation grid."""
-        from repro.core import heuristics
-        from repro.core.heuristics import ThermalPolicy, register_dc_policy
-
-        # register into a copy: the global registry must stay untouched
-        monkeypatch.setattr(heuristics, "_REGISTRY", dict(heuristics._REGISTRY))
+        from repro.core.heuristics import (
+            POLICIES,
+            ThermalPolicy,
+            register_dc_policy,
+        )
 
         class LateTestPolicy(ThermalPolicy):
             name = "late-test-policy"
 
         register_dc_policy(LateTestPolicy)
-        specs = scenario_by_name("policy-ablation").expand()
-        assert "late-test-policy" in {s.policy.name for s in specs}
+        try:
+            specs = scenario_by_name("policy-ablation").expand()
+            assert "late-test-policy" in {s.policy.name for s in specs}
+        finally:
+            # the global registry must be left untouched
+            POLICIES.unregister("late-test-policy")
 
     def test_factory_registration_needs_a_name(self):
         with pytest.raises(FlowSpecError, match="name"):
