@@ -16,7 +16,12 @@ the requirement is met.  Our realisation (see DESIGN.md "Substitutions"):
 3. for the best few allocations, iterate the paper's inner loop:
    schedule → per-PE average powers → (thermal-aware) floorplan → HotSpot
    model → re-schedule with the real policy — until the floorplan stops
-   changing or the iteration budget is exhausted;
+   changing or the iteration budget is exhausted.  Each ``run`` call asks
+   each floorplan question once: the area-objective GA ignores the powers,
+   so it runs once per allocation and later iterations and backoff steps
+   reuse its plan; the thermal objective builds one HotSpot model per
+   distinct placed plan and reuses it across GA calls.  Both memos are
+   locals of ``run``; the re-scheduling model is always a fresh build;
 4. pick the allocation minimising the final cost (temperatures for the
    thermal flow, power for the power-aware flow).
 
@@ -37,7 +42,7 @@ from ..core.schedule import Schedule
 from ..errors import CoSynthesisError
 from ..floorplan.genetic import GeneticConfig, evolve_floorplan
 from ..floorplan.geometry import Floorplan
-from ..floorplan.objectives import area_objective, thermal_objective
+from ..floorplan.objectives import FloorplanObjective, area_objective, thermal_objective
 from ..floorplan.platform import platform_floorplan
 from ..library.pe import Architecture, PEType
 from ..library.presets import default_catalogue
@@ -130,27 +135,50 @@ class CoSynthesisFramework:
         architecture: Architecture,
         powers: Optional[Mapping[str, float]],
         thermal: bool,
+        area_plans: Dict[tuple, Floorplan],
+        models: Dict[tuple, HotSpotModel],
     ) -> Floorplan:
-        """Floorplan one allocation (GA; thermal objective when requested)."""
+        """Floorplan one allocation (GA; thermal objective when requested).
+
+        *area_plans* and *models* are one :meth:`run` call's memos.  An
+        area-objective GA ignores the powers, so its plan is stored per
+        architecture (PE names and dims, in order).  The thermal objective
+        builds one HotSpot model per distinct placed plan (block names and
+        rects, in order — the network's node order follows it) and reuses
+        it across GA calls: the same solve on the same factor, the same
+        bits.
+        """
         if len(architecture) == 1:
             return platform_floorplan(architecture)
-        if thermal and powers is not None:
-            package = self.package
-            power_map = dict(powers)
+        if not (thermal and powers is not None):
+            key = tuple(
+                (pe.name, pe.pe_type.width_mm, pe.pe_type.height_mm)
+                for pe in architecture
+            )
+            if key not in area_plans:
+                area_plans[key] = self._evolve(architecture, area_objective())
+            return area_plans[key]
+        package = self.package
+        power_map = dict(powers)
 
-            def peak_temp(plan: Floorplan) -> float:
-                return HotSpotModel(plan, package).peak_temperature(power_map)
+        def peak_temp(plan: Floorplan) -> float:
+            key = tuple((block.name, block.rect) for block in plan)
+            model = models.get(key)
+            if model is None:
+                model = models[key] = HotSpotModel(plan, package)
+            return model.peak_temperature(power_map)
 
-            objective = thermal_objective(peak_temp)
-        else:
-            objective = area_objective()
-        result = evolve_floorplan(
+        return self._evolve(architecture, thermal_objective(peak_temp))
+
+    def _evolve(
+        self, architecture: Architecture, objective: FloorplanObjective
+    ) -> Floorplan:
+        return evolve_floorplan(
             architecture,
             objective=objective,
             config=self.config.genetic_config,
             seed=self.config.floorplan_seed,
-        )
-        return result.floorplan
+        ).floorplan
 
     # ------------------------------------------------------------------
     def run(
@@ -200,6 +228,9 @@ class CoSynthesisFramework:
         # ---- phase 2: floorplan + HotSpot + real policy ----------------
         best: Optional[Tuple[float, int, CoSynthesisResult]] = None
         total_queries = 0
+        # floorplan memos, dropped when this call returns (see _floorplan)
+        area_plans: Dict[tuple, Floorplan] = {}
+        models: Dict[tuple, HotSpotModel] = {}
         with get_recorder().span("cosynth.refine", candidates=len(kept)):
             for rank_index, (_, _, architecture, schedule) in enumerate(kept):
                 floorplan = None
@@ -217,6 +248,8 @@ class CoSynthesisFramework:
                             powers,
                             thermal=config.thermal_floorplanning
                             and policy.requires_thermal,
+                            area_plans=area_plans,
+                            models=models,
                         )
                         hotspot = HotSpotModel(floorplan, self.package)
                         scheduler = ListScheduler(

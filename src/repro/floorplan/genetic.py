@@ -25,6 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import FloorplanError, SlicingError
 from ..library.pe import Architecture
+from ..obs import get_recorder
 from ..rng import SeedLike, as_random
 from .geometry import Floorplan
 from .objectives import FloorplanObjective, area_objective
@@ -133,7 +134,8 @@ def _crossover(
         for name in order
         if (name in parent_a.rotated if rng.random() < 0.5 else name in parent_b.rotated)
     }
-    return PolishExpression(tokens, parent_a.dims, rotated)
+    # parent_a's skeleton over a permutation of its operands: well formed
+    return PolishExpression._unchecked(tokens, dict(parent_a.dims), rotated)
 
 
 def evolve_floorplan(
@@ -162,19 +164,26 @@ def evolve_floorplan(
     repeats (elites, unmutated copies).  ``evaluations`` still counts
     every scoring request, repeats included.  An injected *evaluate* is
     called for every request, unmemoised.
+
+    Offspring come from crossover over one parent's operator skeleton and
+    from the Wong–Liu moves, which keep a chromosome well formed by
+    construction, so they skip the full Polish-expression re-check.  Each
+    call runs in a ``floorplan.evolve`` span (attributes ``blocks``,
+    ``objective``, ``evaluations`` and ``distinct``, the number of
+    chromosomes the default scoring sliced; ``None`` when *evaluate* is
+    injected).
     """
     if len(architecture) == 0:
         raise FloorplanError("cannot floorplan an empty architecture")
     objective = objective or area_objective()
     config = config or GeneticConfig()
     rng = rng if rng is not None else as_random(seed)
-    dims = _dims_of(architecture)
 
+    injected = evaluate is not None
+    memo: Dict[tuple, Tuple[float, Floorplan]] = {}
     if evaluate is None:
         # elites and unmutated copies recur every generation: score each
         # distinct chromosome once per call (objective must be pure)
-        memo: Dict[tuple, Tuple[float, Floorplan]] = {}
-
         def evaluate(individual: PolishExpression) -> Tuple[float, Floorplan]:
             key = (tuple(individual.tokens), frozenset(individual.rotated))
             scored_plan = memo.get(key)
@@ -183,7 +192,27 @@ def evolve_floorplan(
                 scored_plan = memo[key] = (objective(plan), plan)
             return scored_plan
 
-    if len(architecture) == 1:
+    with get_recorder().span(
+        "floorplan.evolve",
+        blocks=len(architecture),
+        objective="thermal" if objective.temp_weight > 0.0 else "area",
+    ) as span:
+        result = _search(_dims_of(architecture), evaluate, config, rng)
+        span.annotate(
+            evaluations=result.evaluations,
+            distinct=None if injected else len(memo),
+        )
+    return result
+
+
+def _search(
+    dims: Dict[str, Tuple[float, float]],
+    evaluate: EvaluateFn,
+    config: GeneticConfig,
+    rng: random.Random,
+) -> GeneticResult:
+    """The GA proper: seeded population, then ``config.generations`` rounds."""
+    if len(dims) == 1:
         only = PolishExpression.initial(dims)
         cost, plan = evaluate(only)
         return GeneticResult(only, plan, cost, 1, 0, [cost])

@@ -9,6 +9,7 @@ floorplan geometry, not the other way round).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
@@ -58,8 +59,14 @@ class FloorplanObjective:
             )
         for weight in (self.area_weight, self.temp_weight, self.wirelength_weight,
                        self.aspect_weight):
-            if weight < 0.0:
-                raise FloorplanError(f"objective weights must be >= 0, got {weight}")
+            if not (math.isfinite(weight) and weight >= 0.0):
+                raise FloorplanError(
+                    f"objective weights must be finite and >= 0, got {weight}"
+                )
+        if not math.isfinite(self.aspect_limit):
+            raise FloorplanError(
+                f"aspect_limit must be finite, got {self.aspect_limit}"
+            )
 
     def __call__(self, plan: Floorplan) -> float:
         """Evaluate the cost of *plan* (lower is better)."""

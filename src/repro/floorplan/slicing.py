@@ -19,7 +19,7 @@ rotation move (blocks may be placed in either orientation).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SlicingError
 from ..rng import SeedLike, as_random
@@ -29,6 +29,14 @@ __all__ = ["PolishExpression", "OPERATORS"]
 
 #: The two slicing operators.
 OPERATORS = ("H", "V")
+
+
+def _repeated_operators(tokens: Sequence[str]) -> int:
+    """Adjacent pairs of identical operators (0 for a normalized sequence)."""
+    return sum(
+        first == second and first in OPERATORS
+        for first, second in zip(tokens, tokens[1:])
+    )
 
 
 class PolishExpression:
@@ -55,6 +63,25 @@ class PolishExpression:
         self.dims: Dict[str, Tuple[float, float]] = dict(dims)
         self.rotated: Set[str] = set(rotated or ())
         self._check_well_formed()
+
+    @classmethod
+    def _unchecked(
+        cls,
+        tokens: List[str],
+        dims: Dict[str, Tuple[float, float]],
+        rotated: Set[str],
+    ) -> "PolishExpression":
+        """Adopt *tokens*/*dims*/*rotated* as-is, skipping the full check.
+
+        Only for moves that keep an expression well formed by construction
+        (Wong & Liu, DAC 1986): M1 and M2, crossover over one skeleton, and
+        :meth:`copy`.  Callers hand over freshly built containers.
+        """
+        expression = object.__new__(cls)
+        expression.tokens = tokens
+        expression.dims = dims
+        expression.rotated = rotated
+        return expression
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -90,7 +117,9 @@ class PolishExpression:
 
     def copy(self) -> "PolishExpression":
         """Independent copy."""
-        return PolishExpression(self.tokens, self.dims, set(self.rotated))
+        return PolishExpression._unchecked(
+            list(self.tokens), dict(self.dims), set(self.rotated)
+        )
 
     # ------------------------------------------------------------------
     # structure checks
@@ -243,9 +272,9 @@ class PolishExpression:
         else:
             first = as_random(rng_or_pair).randrange(len(positions) - 1)
         i, j = positions[first], positions[first + 1]
+        # operands trade places: every prefix keeps its operand count
         clone = self.copy()
         clone.tokens[i], clone.tokens[j] = clone.tokens[j], clone.tokens[i]
-        clone._check_well_formed()
         return clone
 
     def move_complement_chain(self, rng_or_index) -> "PolishExpression":
@@ -257,10 +286,10 @@ class PolishExpression:
             chain = chains[rng_or_index % len(chains)]
         else:
             chain = as_random(rng_or_index).choice(chains)
+        # operators stay operators: every prefix keeps its operator count
         clone = self.copy()
         for position in chain:
             clone.tokens[position] = "V" if clone.tokens[position] == "H" else "H"
-        clone._check_well_formed()
         return clone
 
     def _operator_chains(self) -> List[List[int]]:
@@ -279,8 +308,9 @@ class PolishExpression:
     def move_swap_operand_operator(self, rng: SeedLike = None) -> "PolishExpression":
         """M3: swap an adjacent operand/operator pair.
 
-        Retries random adjacent pairs until one preserves the balloting
-        property and normalization; raises if no legal M3 exists.
+        Takes the first adjacent pair, in random order, whose swap
+        preserves the balloting property and normalization
+        (:meth:`_m3_test`); raises if no legal M3 exists.
         """
         rand = as_random(rng)
         candidates = [
@@ -289,16 +319,42 @@ class PolishExpression:
             if (self.tokens[i] in OPERATORS) != (self.tokens[i + 1] in OPERATORS)
         ]
         rand.shuffle(candidates)
+        legal = self._m3_test()
         for i in candidates:
-            clone = self.copy()
-            clone.tokens[i], clone.tokens[i + 1] = clone.tokens[i + 1], clone.tokens[i]
-            try:
-                clone._check_well_formed()
-            except SlicingError:
-                continue
-            if clone.is_normalized():
+            if legal(i):
+                clone = self.copy()
+                clone.tokens[i], clone.tokens[i + 1] = clone.tokens[i + 1], clone.tokens[i]
                 return clone
         raise SlicingError("no legal M3 move exists for this expression")
+
+    def _m3_test(self) -> Callable[[int], bool]:
+        """Predicate: does swapping the operand/operator pair at ``(i, i + 1)``
+        keep this (well-formed) expression well formed and normalized?
+
+        Decided locally per pair instead of re-scanning a swapped copy.
+        Only an operator moving one place left can break balloting, and
+        only at its new position ``i``: it needs more operands than
+        operators before it.  Normalization changes only across the three
+        adjacent pairs around the swap, so the expression-wide count of
+        repeated operators is corrected there.
+        """
+        tokens = self.tokens
+        before = [0]  # before[i]: operators in tokens[:i]
+        for token in tokens:
+            before.append(before[-1] + (token in OPERATORS))
+        total = _repeated_operators(tokens)
+
+        def legal(i: int) -> bool:
+            operators = before[i]
+            if tokens[i + 1] in OPERATORS and operators + 1 >= i - operators:
+                return False
+            window = tokens[max(i - 1, 0) : i + 3]
+            swapped = list(window)
+            j = min(i, 1)  # the pair's offset inside the window
+            swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
+            return total - _repeated_operators(window) + _repeated_operators(swapped) == 0
+
+        return legal
 
     def move_rotate(self, rng_or_name) -> "PolishExpression":
         """Toggle the orientation of one block."""

@@ -56,6 +56,20 @@ class TestObjectives:
         with pytest.raises(FloorplanError):
             FloorplanObjective(area_weight=-1.0)
 
+    @pytest.mark.parametrize("field", [
+        "area_weight", "temp_weight", "wirelength_weight", "aspect_weight",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, field, value):
+        # a NaN weight makes every GA cost NaN and the population sort meaningless
+        with pytest.raises(FloorplanError, match=str(value)):
+            FloorplanObjective(temp_evaluator=lambda plan: 50.0, **{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_aspect_limit_rejected(self, value):
+        with pytest.raises(FloorplanError, match="aspect_limit"):
+            FloorplanObjective(aspect_limit=value)
+
     def test_wirelength_term(self, two_block_plan):
         objective = FloorplanObjective(
             area_weight=0.0,
