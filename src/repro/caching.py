@@ -3,8 +3,8 @@
 Two cache layers grew out of the batch and serving work and both need
 the *same* eviction story so operators reason about one policy:
 
-* :class:`LRUCache` — a thread-safe, size-aware LRU used by the serving
-  layer's :class:`~repro.serve.cache.EngineCache` (precomputed thermal
+* :class:`LRUCache` — a thread-safe, size-aware LRU used by the
+  :class:`~repro.flow.memo.EngineCache` under every flow (precomputed thermal
   engines and built workloads are expensive to make and cheap to keep —
   until they aren't).  Entries are bounded by count and/or by a
   caller-estimated byte size; hits refresh recency, eviction drops the

@@ -473,8 +473,8 @@ class ServeHandlerRule(LintRule):
     The daemon's latency contract holds because connection handling
     (``server.py``), wire parsing (``protocol.py``) and the client
     (``client.py``) only parse, enqueue, and wait — model construction
-    and solving live behind the worker pool and the engine cache
-    (``workers.py``/``cache.py`` are the allowed consumers).  A
+    and solving live behind the worker pool (``workers.py``, the allowed
+    consumer) and the engine cache (``repro/flow/memo.py``).  A
     ``Flow(...)`` or ``build_workload(...)`` creeping into the handler
     path would run a full platform build on a connection thread,
     blocking every queued client behind one cold request and bypassing
@@ -486,8 +486,8 @@ class ServeHandlerRule(LintRule):
     rationale = "daemon latency: handlers parse/enqueue/wait only"
 
     #: The handler-path modules this rule polices.  workers.py and
-    #: cache.py are deliberately absent — they are where execution and
-    #: construction are *supposed* to happen.
+    #: flow/memo.py are deliberately absent — they are where execution
+    #: and construction are *supposed* to happen.
     HANDLER_MODULES = frozenset({
         "repro/serve/server.py",
         "repro/serve/protocol.py",
@@ -521,7 +521,7 @@ class ServeHandlerRule(LintRule):
                     f"{name}() on the serve handler path; construction and "
                     f"execution belong behind the worker pool "
                     f"(repro/serve/workers.py) and the engine cache "
-                    f"(repro/serve/cache.py)",
+                    f"(repro/flow/memo.py)",
                 )
 
 

@@ -63,7 +63,8 @@ from .registry import (
     register_thermal_solver,
     thermal_solver_names,
 )
-from .runner import Flow, FlowResult, PrebuiltPlatform, run_flow
+from .memo import PrebuiltPlatform
+from .runner import Flow, FlowResult, run_flow
 from .batch import clear_cache, iter_results, prune_cache, run_many
 
 __all__ = [

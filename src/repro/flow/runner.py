@@ -17,14 +17,15 @@ The built-in flow kinds reproduce the paper's two figures exactly:
   floorplanning, HotSpot-in-the-loop refinement.  Byte-identical to
   :class:`repro.cosynth.framework.CoSynthesisFramework` for equal inputs.
 
-Workload construction (graph + technology library) is delegated to
-:func:`repro.scenarios.workloads.build_workload`, which memoises per
-process, so sweeps over policies do not regenerate identical substrates.
+Workloads (graph + technology library) and platforms (architecture,
+floorplan, thermal model) resolve through one
+:class:`~repro.flow.memo.EngineCache` — by default the bounded process
+memo — so sweeps over policies do not rebuild identical substrates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis.metrics import ScheduleEvaluation, evaluate_schedule
@@ -48,11 +49,11 @@ from ..library.pe import Architecture
 from ..obs import get_recorder
 from ..taskgraph.conditional import ConditionalTaskGraph
 from ..thermal.leakage import LeakageModel, LeakageSolution, solve_with_leakage
-from ..thermal.package import default_package
-from .registry import FLOORPLANNERS, FLOWS, THERMAL_SOLVERS, build_policy
+from .memo import PROCESS_MEMO, EngineCache, PrebuiltPlatform, _build_package
+from .registry import FLOWS, build_policy
 from .spec import ArchitectureSpec, FloorplanSpec, FlowSpec, spec_hash
 
-__all__ = ["Flow", "FlowResult", "PrebuiltPlatform", "run_flow"]
+__all__ = ["Flow", "FlowResult", "run_flow"]
 
 
 def _check_workload(spec: FlowSpec, graph: Any) -> None:
@@ -68,49 +69,6 @@ def _check_workload(spec: FlowSpec, graph: Any) -> None:
             f"workload {graph.name!r} is a conditional task graph; "
             f"set conditional.enabled = True"
         )
-
-
-def _build_workload(spec: FlowSpec) -> Tuple[Any, Any]:
-    """(graph-or-CTG, library) for *spec*, shared across runs in-process."""
-    # late import: repro.scenarios imports repro.flow.spec for its grid
-    # layer, so binding it at module import time would be cyclic
-    from ..scenarios.workloads import build_workload
-
-    graph, library = build_workload(
-        spec.graph, spec.library, spec.conditional.guard_probabilities
-    )
-    _check_workload(spec, graph)
-    return graph, library
-
-
-def _build_architecture(spec: FlowSpec) -> Architecture:
-    """The platform architecture *spec* describes, from its catalogue.
-
-    The default spec resolves to the catalogue's platform PE —
-    byte-identical to :func:`repro.library.presets.default_platform` for
-    the default catalogue.
-    """
-    catalogue = catalogue_by_name(spec.library.catalogue)
-    arch = spec.architecture
-    if arch.pes:
-        architecture = Architecture(arch.name)
-        for type_name in arch.pes:
-            architecture.add_instance(catalogue.pe_type(type_name))
-        return architecture
-    pe_name = arch.pe or catalogue.platform_pe
-    if pe_name is None:
-        raise FlowError(
-            f"catalogue {catalogue.name!r} declares no platform PE; "
-            f"set architecture.pe (available: {catalogue.type_names()})"
-        )
-    return Architecture.homogeneous(arch.name, catalogue.pe_type(pe_name), arch.count)
-
-
-def _build_package(spec: FlowSpec):
-    package = default_package()
-    if spec.thermal.ambient_c is not None:
-        package = replace(package, ambient_c=spec.thermal.ambient_c)
-    return package
 
 
 def _build_comm(spec: FlowSpec):
@@ -219,23 +177,6 @@ class _FlowOutcome:
     diagnostics: Dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass
-class PrebuiltPlatform:
-    """A ready-to-schedule platform leased from a warm cache.
-
-    Carries exactly what :func:`_platform_runner` would otherwise build
-    from the spec: the architecture, the laid-out floorplan, and a
-    thermal model whose network/factorisation/query engine are already
-    constructed (see :meth:`repro.thermal.HotSpotModel.from_prebuilt`).
-    The thermal model must be a *fresh lease* — its query counters start
-    at zero so the served result's diagnostics describe this run only.
-    """
-
-    architecture: Architecture
-    floorplan: Floorplan
-    thermal: Any
-
-
 # ----------------------------------------------------------------------
 # built-in flow kinds
 # ----------------------------------------------------------------------
@@ -244,29 +185,16 @@ def _platform_runner(
 ) -> _FlowOutcome:
     """Figure 1b: fixed architecture + floorplan, ASP with HotSpot.
 
-    With *prebuilt* given (the serving layer's warm path), the
-    architecture/floorplan/thermal triple is taken as-is instead of
-    being rebuilt — the schedule and evaluation that follow are
-    byte-identical either way, because the prebuilt parts are functions
-    of the same spec fields they replace.
+    The architecture/floorplan/thermal triple is the *prebuilt* lease
+    :meth:`Flow.run` takes from its cache; a runner calling this one with
+    three arguments gets its lease from the process memo.
     """
     rec = get_recorder()
-    if prebuilt is not None:
-        architecture = prebuilt.architecture
-        floorplan = prebuilt.floorplan
-        thermal = prebuilt.thermal
-    else:
-        with rec.span("flow.floorplan"):
-            architecture = _build_architecture(spec)
-            floorplan_spec = spec.floorplan or FloorplanSpec(kind="platform")
-            floorplan = FLOORPLANNERS.get(floorplan_spec.kind)(
-                architecture, floorplan_spec
-            )
-        with rec.span("flow.thermal_build", solver=spec.thermal.solver):
-            package = _build_package(spec)
-            thermal = THERMAL_SOLVERS.get(spec.thermal.solver)(
-                floorplan, package, spec.thermal
-            )
+    if prebuilt is None:
+        prebuilt = PROCESS_MEMO.platform_for(spec)
+    architecture = prebuilt.architecture
+    floorplan = prebuilt.floorplan
+    thermal = prebuilt.thermal
     policy = build_policy(spec.policy)
 
     if spec.conditional.enabled:
@@ -452,22 +380,19 @@ def _record_flow_metrics(rec: Any, diagnostics: Dict[str, Any]) -> None:
 class Flow:
     """Facade executing declarative :class:`FlowSpec` configurations.
 
-    Stateless apart from the process-wide workload memo; one instance can
-    run any number of specs (and is what :func:`~repro.flow.batch.run_many`
-    workers use).
+    One instance can run any number of specs (and is what
+    :func:`~repro.flow.batch.run_many` workers use).
 
-    *cache* optionally attaches a warm-state provider (duck-typed; the
-    serving layer's :class:`~repro.serve.cache.EngineCache`).  It may
-    expose ``workload_for(spec) -> (graph, library) | None`` and
-    ``platform_for(spec) -> PrebuiltPlatform | None``; ``None`` from
-    either hook means "bypass" and the facade builds from scratch.  The
-    hooks only short-circuit *construction* — scheduling and evaluation
-    always run, and their outputs are byte-identical with or without the
-    cache (the warm state is a function of the same spec fields).
+    *cache* is the :class:`~repro.flow.memo.EngineCache` workloads and
+    platforms resolve through; ``None`` means the bounded process memo
+    (:data:`~repro.flow.memo.PROCESS_MEMO`), and the serve daemon passes
+    its own.  The cache only short-circuits *construction* — scheduling
+    and evaluation always run, and their outputs are byte-identical warm
+    or cold (the warm state is a function of the same spec fields).
     """
 
-    def __init__(self, cache: Optional[Any] = None):
-        self.cache = cache
+    def __init__(self, cache: Optional[EngineCache] = None):
+        self.cache = PROCESS_MEMO if cache is None else cache
 
     def run(self, spec: FlowSpec) -> FlowResult:
         """Execute *spec* and return the unified :class:`FlowResult`."""
@@ -483,27 +408,17 @@ class Flow:
             "flow", trace=digest[:16], flow=spec.flow, policy=spec.policy.name
         ) as root:
             with rec.span("flow.library", graph=spec.graph.name) as phase:
-                pair = None
-                if self.cache is not None and hasattr(self.cache, "workload_for"):
-                    pair = self.cache.workload_for(spec)
-                if pair is not None:
-                    graph, library = pair
-                    _check_workload(spec, graph)
-                else:
-                    graph, library = _build_workload(spec)
+                graph, library = self.cache.workload_for(spec)
+                _check_workload(spec, graph)
             timings["build"] = phase.elapsed
 
             with rec.span("flow.run", kind=spec.flow) as phase:
                 runner = FLOWS.get(spec.flow)
-                prebuilt: Optional[PrebuiltPlatform] = None
-                if (
-                    self.cache is not None
-                    and hasattr(self.cache, "platform_for")
-                    and _accepts_prebuilt(runner)
-                ):
-                    prebuilt = self.cache.platform_for(spec)
-                if prebuilt is not None:
-                    outcome = runner(spec, graph, library, prebuilt=prebuilt)
+                leased = _accepts_prebuilt(runner)
+                if leased:
+                    outcome = runner(
+                        spec, graph, library, prebuilt=self.cache.platform_for(spec)
+                    )
                 else:
                     outcome = runner(spec, graph, library)
             timings["run"] = phase.elapsed
@@ -566,14 +481,9 @@ class Flow:
                 "repro_version": getattr(_repro, "__version__", "unknown"),
                 "cache_hit": False,
                 "elapsed_s": round(root.elapsed, 6),
+                # which construction stages resolved through the cache
+                "engine_cache": {"workload": True, "platform": leased},
             }
-            if self.cache is not None:
-                # provenance only — which construction stages the attached
-                # cache actually short-circuited for this run
-                provenance["engine_cache"] = {
-                    "workload": pair is not None,
-                    "platform": prebuilt is not None,
-                }
             diagnostics = dict(outcome.diagnostics)
             if rec.enabled:
                 provenance["obs"] = _obs_summary(

@@ -7,8 +7,9 @@ describes *families* of them):
 * **workload sources** — :func:`register_workload` makes user graphs
   addressable from specs (``GraphSourceSpec(kind="registered")``), next
   to the built-in benchmark / conditional / generated / file kinds;
-  :func:`build_workload` is the one memoised builder behind
-  ``Flow.run`` and the experiment drivers;
+  :func:`build_workload` resolves through the same process memo
+  (:data:`repro.flow.memo.PROCESS_MEMO`) as ``Flow()``, so the
+  experiment drivers and flows share one built pair per spec;
 * **catalogues** — re-exported from :mod:`repro.library.catalogues`:
   named PE catalogues (``default``, ``big-little``, ``accel-heavy``,
   ``many-core``) that ``LibrarySpec`` selects by name;

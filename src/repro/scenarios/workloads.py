@@ -2,9 +2,11 @@
 
 This module is the single place a :class:`~repro.flow.GraphSourceSpec`
 turns into a concrete ``(graph, technology library)`` pair.  It backs
-:meth:`repro.flow.Flow.run`, the experiments and the CLI alike, and
-memoises per process so sweeps over policies never regenerate identical
-substrates.
+:meth:`repro.flow.Flow.run`, the experiments and the CLI alike.
+:func:`build_workload` resolves through the process memo
+(:data:`repro.flow.memo.PROCESS_MEMO`, the bounded
+:class:`~repro.flow.memo.EngineCache` ``Flow()`` uses), so sweeps over
+policies never regenerate identical substrates.
 
 Source kinds:
 
@@ -19,10 +21,12 @@ A registered factory returns either a :class:`TaskGraph` /
 :class:`ConditionalTaskGraph` (the technology library is then generated
 from the active catalogue) or a ``(graph, library)`` pair when the
 workload carries its own hand-built library (the
-``examples/custom_workload.py`` pattern).  Factories must be
-deterministic — the pair is cached and, with ``run_many(workers=N)``,
-rebuilt inside worker processes; register workloads at import time of
-the module that launches the pool so workers inherit them.
+``examples/custom_workload.py`` pattern).  Registered (and ``file``)
+workloads are never memoised — the spec cannot see their content — so a
+re-registered name takes effect on the next run.  Factories must still
+be deterministic: with ``run_many(workers=N)`` they are rebuilt inside
+worker processes; register workloads at import time of the module that
+launches the pool so workers inherit them.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..errors import FlowError, FlowSpecError, TaskGraphError
+from ..flow.memo import PROCESS_MEMO
 from ..library.catalogues import catalogue_by_name
 from ..library.presets import (
     generate_technology_library,
@@ -63,8 +68,8 @@ def register_workload(
     """Register ``factory() -> graph | (graph, library)`` under *name*.
 
     Usable as ``@register_workload("my-app")``.  The factory must be
-    deterministic; its result is cached per process and rebuilt inside
-    ``run_many`` worker processes.
+    deterministic; it is called on every build (never memoised), inside
+    ``run_many`` worker processes too.
     """
     return WORKLOADS.register(name, factory)
 
@@ -80,14 +85,11 @@ def workload_names() -> Tuple[str, ...]:
 
 
 # ----------------------------------------------------------------------
-# construction (memoised per process)
+# construction (memoised in the process memo)
 # ----------------------------------------------------------------------
-_CACHE: Dict[Tuple, Tuple[Any, TechnologyLibrary]] = {}
-
-
 def clear_workload_cache() -> None:
-    """Drop the per-process workload memo (tests; registered reloads)."""
-    _CACHE.clear()
+    """Drop every entry of the process memo (workloads and platforms)."""
+    PROCESS_MEMO.clear()
 
 
 def _override_guards(
@@ -203,26 +205,22 @@ def build_workload(
     graph_spec,
     library_spec,
     guard_probabilities: Tuple[Tuple[str, str, float], ...] = (),
-    memo: bool = True,
 ) -> Tuple[Any, TechnologyLibrary]:
-    """``(graph-or-CTG, library)`` for one spec pair, shared in-process.
+    """``(graph-or-CTG, library)`` for one spec pair, from the process memo.
 
     The graph comes from :func:`build_graph`; the library is generated
     over the named catalogue unless a registered workload supplies its
-    own.  Guard overrides apply to conditional graphs only.
-    ``memo=False`` bypasses the per-process memo entirely (no read, no
-    write) — callers with their own bounded cache (the serving layer's
-    ``EngineCache``) use it so the unbounded process dict never grows
-    behind their eviction policy's back.
+    own.  Guard overrides apply to conditional graphs only.  Repeat
+    calls return the same objects until the memo evicts or is cleared;
+    ``file`` and ``registered`` sources build fresh every call.
     """
-    # file-sourced graphs live on disk and can change under the memo's
-    # feet; everything else is fully determined by the spec (registered
-    # factories cannot be swapped — the registry forbids re-registration)
-    memoisable = memo and graph_spec.kind != "file"
-    key = (graph_spec, library_spec, tuple(guard_probabilities))
-    if memoisable and key in _CACHE:
-        return _CACHE[key]
+    return PROCESS_MEMO.workload(graph_spec, library_spec, guard_probabilities)
 
+
+def _construct_workload(
+    graph_spec, library_spec, guard_probabilities
+) -> Tuple[Any, TechnologyLibrary]:
+    """:func:`build_workload`'s construction, run on a memo miss."""
     catalogue = catalogue_by_name(library_spec.catalogue)
     library: Optional[TechnologyLibrary] = None
     if graph_spec.kind == "registered":
@@ -250,7 +248,4 @@ def build_workload(
             library = library_for_graph(
                 graph, catalogue=catalogue, seed=library_spec.seed
             )
-
-    if memoisable:
-        _CACHE[key] = (graph, library)
     return graph, library

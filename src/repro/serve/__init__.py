@@ -5,8 +5,8 @@ construction *within one process invocation*; every new invocation pays
 the full cold cost again — graph generation, technology library,
 floorplan layout, RC network assembly, Cholesky factorisation, query
 engine setup — before the first scheduling decision.  The serve layer
-keeps that state **resident**: a long-lived daemon holds an
-:class:`~repro.serve.cache.EngineCache` of prebuilt workloads and
+keeps that state **resident**: a long-lived daemon holds its own
+:class:`~repro.flow.memo.EngineCache` of prebuilt workloads and
 thermal platforms keyed by sub-spec content hashes, so any client whose
 spec shares a platform with an earlier request schedules against warm
 engines and pays only the scheduling cost.
@@ -15,7 +15,8 @@ Pieces:
 
 * :mod:`~repro.serve.protocol` — the HTTP/JSON wire format (a thin
   envelope around ``FlowSpec.to_dict`` and ``RunRecord.to_dict``);
-* :mod:`~repro.serve.cache` — sub-spec hashing + the LRU engine cache;
+* :mod:`repro.flow.memo` — sub-spec hashing + the LRU engine cache
+  (re-exported here; ``Flow()`` uses the same class as its process memo);
 * :mod:`~repro.serve.workers` — the bounded queue and worker pool that
   execute requests against the shared cache;
 * :mod:`~repro.serve.server` — the daemon (``repro serve``);
@@ -38,7 +39,7 @@ request whose waiter timed out (``orphan_completed``).
 
 from __future__ import annotations
 
-from .cache import (
+from ..flow.memo import (
     EngineCache,
     floorplan_subspec_hash,
     library_subspec_hash,

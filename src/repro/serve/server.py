@@ -3,7 +3,7 @@
 ``repro serve`` builds one :class:`ServeDaemon`: a threading HTTP
 server whose connection threads do nothing but parse, enqueue, and
 wait — every evaluation runs on the :class:`~repro.serve.workers
-.WorkerPool` against the shared :class:`~repro.serve.cache.EngineCache`
+.WorkerPool` against the shared :class:`~repro.flow.memo.EngineCache`
 (lint rule SRV001 keeps it that way).  Status mapping:
 
 * ``200`` — served; body carries the full ``RunRecord`` dict;
@@ -48,12 +48,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import ServeError
+from ..flow.memo import DEFAULT_MAX_ENTRIES, EngineCache
 from ..flow.spec import spec_hash
 from ..obs import Counters, enable, get_recorder, set_recorder
 from ..resilience.faults import check_fault
 from ..resilience.retry import CircuitBreaker
 from . import protocol
-from .cache import DEFAULT_MAX_ENTRIES, EngineCache
 from .workers import QueueFullError, ServeJob, WorkerPool
 
 __all__ = ["ServeDaemon"]

@@ -4,7 +4,7 @@ Requests do not run on their connection threads.  The HTTP layer
 enqueues a :class:`ServeJob` onto one bounded :class:`queue.Queue` and
 waits; a fixed pool of worker threads (``os.cpu_count()`` by default)
 drains it, each running specs through a :class:`~repro.flow.Flow`
-wired to the shared :class:`~repro.serve.cache.EngineCache`.  The
+wired to the shared :class:`~repro.flow.memo.EngineCache`.  The
 threads do not run flows in parallel: the scheduler's candidate loop is
 pure Python and holds the GIL, and in-process flow throughput is flat
 in the thread count (91.4 / 90.5 / 91.3 specs/s at 1 / 2 / 4 threads
@@ -128,8 +128,8 @@ class WorkerPool:
     Parameters
     ----------
     cache:
-        The shared :class:`~repro.serve.cache.EngineCache` (or ``None``
-        for a cache-less pool — every request cold-builds).
+        The shared :class:`~repro.flow.memo.EngineCache` (or ``None``
+        for the process memo ``Flow()`` uses).
     workers:
         Thread count; defaults to the machine's core count.
     queue_size:

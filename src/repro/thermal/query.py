@@ -172,8 +172,8 @@ class ThermalQueryEngine:
         The precomputed response (the expensive part — one backsolve per
         block) is immutable and safely shared; the fork only carries its
         own ``fast_queries`` provenance.  This is the injection hook the
-        serving layer's warm :class:`~repro.serve.cache.EngineCache`
-        uses: one precomputation, per-request counter isolation.
+        warm :class:`~repro.flow.memo.EngineCache` uses: one
+        precomputation, per-run counter isolation.
         """
         clone = object.__new__(ThermalQueryEngine)
         clone.block_names = self.block_names

@@ -188,8 +188,10 @@ class TestEngineCache:
         spec = FlowSpec.from_dict(
             {**bm1_spec().to_dict(), "thermal": {"solver": "gridmodel"}}
         )
-        assert cache.platform_for(spec) is None
+        platform = cache.platform_for(spec)  # built fresh, never stored
+        assert platform.thermal is not None
         assert cache.stats()["platform_bypasses"] == 1
+        assert cache.stats()["platforms"]["entries"] == 0
 
     def test_flow_marks_engine_cache_provenance(self):
         cache = EngineCache()
