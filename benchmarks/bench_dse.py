@@ -16,7 +16,7 @@ Three contracts guard the DSE subsystem's performance story (ISSUE 8):
   search's evaluation layer (``evaluate_population`` over the
   content-addressed :class:`~repro.results.store.ResultStore`, i.e. the
   path every resumed or re-visited candidate takes) vs paying a cold
-  ``run_flow`` per candidate.
+  flow per candidate (its platform built on every call).
 
 The measured numbers are written to ``BENCH_dse.json`` (path override via
 ``BENCH_DSE_JSON``) so CI can archive the perf trajectory and gate on the
@@ -37,12 +37,11 @@ from repro.dse.driver import DSE_SUITE
 from repro.dse.evaluate import evaluate_population
 from repro.dse.thermal import IncrementalThermalEvaluator
 from repro.floorplan.geometry import Floorplan
-from repro.flow.runner import run_flow
 from repro.results.store import ResultStore
 from repro.thermal.blockmodel import build_block_network
 from repro.thermal.query import ThermalQueryEngine
 
-from conftest import print_report
+from conftest import platform_cold_flow, print_report
 
 #: Moves screened through the incremental path (the ≥1k scale contract).
 SCREEN_MOVES = 1000
@@ -163,8 +162,9 @@ def measurements(tmp_path_factory):
     warm_per_candidate_s = warm_eval_s / len(generation_zero)
 
     spec = cold_result.front[0].candidate.to_flow_spec()
-    run_flow(spec)  # absorb one-time import/library warmup
-    cold_flow_s = _best_of(lambda: run_flow(spec), passes=PASSES)
+    cold_flow = platform_cold_flow()  # a cold flow builds its platform
+    cold_flow.run(spec)  # absorb one-time import/library warmup
+    cold_flow_s = _best_of(lambda: cold_flow.run(spec), passes=PASSES)
 
     data = {
         "incremental": {

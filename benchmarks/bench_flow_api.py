@@ -37,7 +37,7 @@ from repro import (
 )
 from repro.flow import Flow, platform_spec, run_many
 
-from conftest import print_report
+from conftest import platform_cold_flow, print_report
 
 #: Repetitions for the overhead measurement (platform flow is ~10 ms).
 REPEATS = 20
@@ -56,7 +56,8 @@ def _time(fn, repeats: int) -> float:
 def measurements():
     graph = benchmark("Bm1")
     library = library_for_graph(graph)
-    flow = Flow()
+    # both sides build the platform per call; workloads are prebuilt/warm
+    flow = platform_cold_flow()
     spec = platform_spec("Bm1", policy="thermal")
     flow.run(spec)  # warm the workload memo, like the direct path's prebuild
 

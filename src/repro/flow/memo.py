@@ -26,8 +26,11 @@ architecture and floorplan copy, and fresh-counter forks of the shared
 immutable thermal state (see :meth:`HotSpotModel.from_prebuilt
 <repro.thermal.HotSpotModel.from_prebuilt>`), so concurrent callers
 never share mutable objects.  Graph kinds in
-:data:`~repro.flow.spec.UNCACHEABLE_GRAPH_KINDS` and solvers other than
-HotSpot are built fresh on every request and never stored.
+:data:`~repro.flow.spec.UNCACHEABLE_GRAPH_KINDS`, and platforms whose
+floorplanner or thermal solver is not a built-in factory (registered
+factories, solvers other than HotSpot), are built fresh on every request
+and never stored: a hash of the spec cannot see what a registered
+factory does.
 ``max_entries=0`` disables storage — every request builds fresh, the
 "cold" configuration benchmarks compare against.
 
@@ -146,6 +149,17 @@ def workload_cache_key(spec: FlowSpec) -> str:
     return library_subspec_hash(spec)
 
 
+#: The factories a stored platform may come from: the built-in
+#: floorplanners and the HotSpot solver (the one with extractable
+#: prebuilt state).  Checked by identity, so a name unregistered and
+#: registered again with another factory builds fresh.
+_STORABLE_FLOORPLANNERS = {
+    kind: FLOORPLANNERS.get(kind)
+    for kind in ("platform", "grid", "row", "genetic", "annealing", "explicit")
+}
+_STORABLE_SOLVER = THERMAL_SOLVERS.get("hotspot")
+
+
 def _build_architecture(spec: FlowSpec) -> Architecture:
     """The platform architecture *spec* describes, from its catalogue.
 
@@ -185,12 +199,14 @@ class PrebuiltPlatform:
     :meth:`repro.thermal.HotSpotModel.from_prebuilt`).  Every lease is
     private: the architecture and floorplan are its own objects, and the
     thermal model's query counters start at zero so a result's
-    diagnostics describe its run only.
+    diagnostics describe its run only.  ``bypassed`` marks a platform
+    built fresh outside the cache (see :meth:`EngineCache.platform_for`).
     """
 
     architecture: Architecture
     floorplan: Floorplan
     thermal: Any
+    bypassed: bool = False
 
 
 @dataclass
@@ -296,37 +312,40 @@ class EngineCache:
     def platform_for(self, spec: FlowSpec) -> PrebuiltPlatform:
         """A private :class:`PrebuiltPlatform` lease for *spec*.
 
-        Only the built-in HotSpot solver is stored (it is the one with
-        extractable prebuilt state); other solvers, and registered
-        solver factories that return something else, build fresh and
-        count as bypasses.  Emits ``flow.floorplan`` and
+        Only platforms built by a built-in floorplanner and the built-in
+        HotSpot solver are stored; any other factory builds fresh and
+        counts as a bypass.  Emits ``flow.floorplan`` and
         ``flow.thermal_build`` spans with a ``cached`` attribute.
         """
         rec = get_recorder()
-        key = platform_cache_key(spec) if spec.thermal.solver == "hotspot" else None
-        bundle = self.platforms.get(key) if key is not None else None
+        floorplan_spec = _resolved_floorplan_spec(spec)
+        floorplanner = FLOORPLANNERS.get(floorplan_spec.kind)
+        solver = THERMAL_SOLVERS.get(spec.thermal.solver)
+        storable = (
+            _STORABLE_FLOORPLANNERS.get(floorplan_spec.kind) is floorplanner
+            and solver is _STORABLE_SOLVER
+        )
+        key = platform_cache_key(spec) if storable else None
+        bundle = self.platforms.get(key) if storable else None
         cached = bundle is not None
         with rec.span("flow.floorplan", cached=cached):
             # the architecture object is rebuilt per lease: it is cheap
             # (catalogue lookups) and schedulers receive a private instance
             architecture = _build_architecture(spec)
             if bundle is None:
-                floorplan_spec = _resolved_floorplan_spec(spec)
-                floorplan = FLOORPLANNERS.get(floorplan_spec.kind)(
-                    architecture, floorplan_spec
-                )
+                floorplan = floorplanner(architecture, floorplan_spec)
             else:
                 floorplan = Floorplan(bundle.floorplan)
         with rec.span("flow.thermal_build", solver=spec.thermal.solver, cached=cached):
             if bundle is None:
                 package = _build_package(spec)
-                model = THERMAL_SOLVERS.get(spec.thermal.solver)(
-                    floorplan, package, spec.thermal
-                )
-                if key is None or not isinstance(model, HotSpotModel):
+                model = solver(floorplan, package, spec.thermal)
+                if not storable:
                     with self._lock:
                         self.platform_bypasses += 1
-                    return PrebuiltPlatform(architecture, floorplan, model)
+                    return PrebuiltPlatform(
+                        architecture, floorplan, model, bypassed=True
+                    )
                 # the bundle keeps its own floorplan copy: leases may mutate theirs
                 bundle = PlatformBundle(
                     Floorplan(floorplan), package, *model.prebuilt_state()

@@ -25,6 +25,7 @@ memo — so sweeps over policies do not rebuild identical substrates.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -51,7 +52,13 @@ from ..taskgraph.conditional import ConditionalTaskGraph
 from ..thermal.leakage import LeakageModel, LeakageSolution, solve_with_leakage
 from .memo import PROCESS_MEMO, EngineCache, PrebuiltPlatform, _build_package
 from .registry import FLOWS, build_policy
-from .spec import ArchitectureSpec, FloorplanSpec, FlowSpec, spec_hash
+from .spec import (
+    UNCACHEABLE_GRAPH_KINDS,
+    ArchitectureSpec,
+    FloorplanSpec,
+    FlowSpec,
+    spec_hash,
+)
 
 __all__ = ["Flow", "FlowResult", "run_flow"]
 
@@ -175,6 +182,12 @@ class _FlowOutcome:
     thermal_model: Any
     conditional: Optional[ConditionalEvaluation] = None
     diagnostics: Dict[str, Any] = field(default_factory=dict)
+    #: whether the platform resolved through the flow's cache (not a bypass)
+    platform_cached: bool = False
+
+
+#: The cache of the :meth:`Flow.run` in progress; runners lease from it.
+_FLOW_CACHE: ContextVar[EngineCache] = ContextVar("flow_cache", default=PROCESS_MEMO)
 
 
 # ----------------------------------------------------------------------
@@ -185,13 +198,13 @@ def _platform_runner(
 ) -> _FlowOutcome:
     """Figure 1b: fixed architecture + floorplan, ASP with HotSpot.
 
-    The architecture/floorplan/thermal triple is the *prebuilt* lease
-    :meth:`Flow.run` takes from its cache; a runner calling this one with
-    three arguments gets its lease from the process memo.
+    The architecture/floorplan/thermal triple is a lease from the cache
+    of the running :class:`Flow` (the process memo outside one), unless
+    the caller hands in a *prebuilt* platform.
     """
     rec = get_recorder()
     if prebuilt is None:
-        prebuilt = PROCESS_MEMO.platform_for(spec)
+        prebuilt = _FLOW_CACHE.get().platform_for(spec)
     architecture = prebuilt.architecture
     floorplan = prebuilt.floorplan
     thermal = prebuilt.thermal
@@ -215,6 +228,7 @@ def _platform_runner(
             evaluation=worst.evaluation,
             thermal_model=thermal,
             conditional=conditional,
+            platform_cached=not prebuilt.bypassed,
             diagnostics={
                 "scenarios": len(conditional.results),
                 "hotspot_queries": getattr(thermal, "query_count", 0),
@@ -235,6 +249,7 @@ def _platform_runner(
         schedule=schedule,
         evaluation=evaluation,
         thermal_model=thermal,
+        platform_cached=not prebuilt.bypassed,
         diagnostics={
             "hotspot_queries": getattr(thermal, "query_count", 0),
             "thermal_query": dict(getattr(thermal, "query_stats", {})),
@@ -318,21 +333,6 @@ FLOWS.register("cosynthesis", _cosynthesis_runner)
 # ----------------------------------------------------------------------
 # the facade
 # ----------------------------------------------------------------------
-def _accepts_prebuilt(runner: Any) -> bool:
-    """Whether a registered flow runner takes the ``prebuilt=`` lease.
-
-    Third-party runners keep the original three-argument signature; the
-    facade only offers a warm platform to runners that declare they can
-    take one.
-    """
-    import inspect
-
-    try:
-        return "prebuilt" in inspect.signature(runner).parameters
-    except (TypeError, ValueError):
-        return False
-
-
 def _obs_summary(
     trace_id: str,
     timings: Dict[str, float],
@@ -386,9 +386,12 @@ class Flow:
     *cache* is the :class:`~repro.flow.memo.EngineCache` workloads and
     platforms resolve through; ``None`` means the bounded process memo
     (:data:`~repro.flow.memo.PROCESS_MEMO`), and the serve daemon passes
-    its own.  The cache only short-circuits *construction* — scheduling
-    and evaluation always run, and their outputs are byte-identical warm
-    or cold (the warm state is a function of the same spec fields).
+    its own.  Every runner called from :meth:`run`, a registered one that
+    delegates to the built-in platform runner included, leases its
+    platform from this cache.  The cache only short-circuits
+    *construction* — scheduling and evaluation always run, and their
+    outputs are byte-identical warm or cold (the warm state is a
+    function of the same spec fields).
     """
 
     def __init__(self, cache: Optional[EngineCache] = None):
@@ -414,13 +417,11 @@ class Flow:
 
             with rec.span("flow.run", kind=spec.flow) as phase:
                 runner = FLOWS.get(spec.flow)
-                leased = _accepts_prebuilt(runner)
-                if leased:
-                    outcome = runner(
-                        spec, graph, library, prebuilt=self.cache.platform_for(spec)
-                    )
-                else:
+                token = _FLOW_CACHE.set(self.cache)
+                try:
                     outcome = runner(spec, graph, library)
+                finally:
+                    _FLOW_CACHE.reset(token)
             timings["run"] = phase.elapsed
 
             dvfs_result: Optional[DVFSResult] = None
@@ -482,7 +483,11 @@ class Flow:
                 "cache_hit": False,
                 "elapsed_s": round(root.elapsed, 6),
                 # which construction stages resolved through the cache
-                "engine_cache": {"workload": True, "platform": leased},
+                # (False: built fresh as a bypass, or not built at all)
+                "engine_cache": {
+                    "workload": spec.graph.kind not in UNCACHEABLE_GRAPH_KINDS,
+                    "platform": outcome.platform_cached,
+                },
             }
             diagnostics = dict(outcome.diagnostics)
             if rec.enabled:

@@ -5,9 +5,12 @@ The load-bearing pins:
 * **warm == cold** — a plain ``Flow()`` resolving through the warm
   process memo produces the same record (modulo provenance/timings) as
   a flow whose cache stores nothing, across every platform-flow feature;
-* **one cacheability rule** — ``registered`` and ``file`` graph sources
-  are never memoised, so re-registering a workload name takes effect in
-  ``run_flow``, ``build_workload`` and ``EngineCache`` alike;
+* **lease == direct build** — a platform leased from the warm memo
+  schedules exactly like one built by hand from the registries;
+* **one cacheability rule** — ``registered`` and ``file`` graph sources,
+  and platforms from registered floorplanners, are never memoised, so
+  re-registering a name takes effect in ``run_flow``,
+  ``build_workload`` and ``EngineCache`` alike;
 * **private leases** — mutating a result's floorplan cannot change a
   later run;
 * **bounded** — the process memo holds at most its default budget.
@@ -15,8 +18,26 @@ The load-bearing pins:
 
 import pytest
 
-from repro.flow import Flow, platform_spec, run_flow
-from repro.flow.memo import DEFAULT_MAX_ENTRIES, PROCESS_MEMO, EngineCache
+from repro.flow import (
+    FLOORPLANNERS,
+    FLOWS,
+    THERMAL_SOLVERS,
+    Flow,
+    PrebuiltPlatform,
+    platform_spec,
+    register_floorplanner,
+    register_flow,
+    run_flow,
+)
+from repro.flow.memo import (
+    DEFAULT_MAX_ENTRIES,
+    PROCESS_MEMO,
+    EngineCache,
+    platform_cache_key,
+)
+from repro.floorplan.platform import grid_floorplan, row_floorplan
+from repro.library.presets import default_platform
+from repro.thermal.package import default_package
 from repro.flow.spec import (
     CommSpec,
     ConditionalSpec,
@@ -40,6 +61,10 @@ VARIABLE_KEYS = ("provenance", "timings")
 def comparable(result):
     record = result.as_record(suite="memo").to_dict()
     return {k: v for k, v in record.items() if k not in VARIABLE_KEYS}
+
+
+def layout(floorplan):
+    return [(block.name, block.rect) for block in floorplan]
 
 
 def cold_flow():
@@ -103,6 +128,65 @@ class TestWarmColdIdentity:
         assert cache.stats()["platforms"]["hits"] == 2
 
 
+#: A flow kind that runs the built-in platform runner on a hand-built
+#: platform instead of a lease.
+DIRECT = "memo-test-direct"
+
+
+def _direct_runner(spec, graph, library):
+    architecture = default_platform()
+    floorplan = FLOORPLANNERS.get("platform")(architecture, FloorplanSpec())
+    thermal = THERMAL_SOLVERS.get("hotspot")(
+        floorplan, default_package(), spec.thermal
+    )
+    prebuilt = PrebuiltPlatform(architecture, floorplan, thermal)
+    return FLOWS.get("platform")(spec, graph, library, prebuilt=prebuilt)
+
+
+class TestLeaseMatchesDirectBuild:
+    @pytest.mark.parametrize("name", ["Bm1-thermal", "Bm4-heuristic3", "dvfs", "leakage"])
+    def test_warm_lease_matches_hand_built_platform(self, name):
+        if DIRECT not in FLOWS:
+            register_flow(DIRECT, _direct_runner)
+        spec = CASES[name]
+        Flow().run(spec)  # warm the process memo
+        warm = comparable(Flow().run(spec))
+        direct = comparable(Flow().run(spec.with_(flow=DIRECT)))
+        for record in (warm, direct):  # these name the flow kind
+            for key in ("spec", "spec_hash", "flow"):
+                del record[key]
+            del record["row"]["flow"], record["row"]["spec_hash"]
+        # the solve counters say where solves happened: a lease's query
+        # engine was set up when its bundle was built, a hand-built
+        # model sets one up on first use and counts those solves too
+        leased = warm["diagnostics"].pop("thermal_query")
+        built = direct["diagnostics"].pop("thermal_query")
+        assert leased["queries"] == built["queries"]
+        assert leased["engine_built"] == 1
+        assert warm == direct
+
+
+class TestDelegatingRunner:
+    def test_three_argument_runner_leases_from_the_flow_cache(self):
+        name = "memo-test-delegate"
+        if name not in FLOWS:
+            register_flow(
+                name,
+                lambda spec, graph, library: FLOWS.get("platform")(
+                    spec, graph, library
+                ),
+            )
+        spec = platform_spec("Bm1").with_(
+            flow=name, thermal=ThermalSpec(ambient_c=41.5)
+        )
+        cache = EngineCache()
+        for _ in range(2):
+            result = Flow(cache=cache).run(spec)
+        assert cache.stats()["platforms"]["hits"] == 1
+        assert result.provenance["engine_cache"]["platform"] is True
+        assert PROCESS_MEMO.platforms.get(platform_cache_key(spec)) is None
+
+
 class TestCacheability:
     def test_reregistered_workload_takes_effect_everywhere(self):
         name = "memo-test-app"
@@ -124,6 +208,43 @@ class TestCacheability:
         finally:
             if name in WORKLOADS:
                 WORKLOADS.unregister(name)
+
+    def test_reregistered_floorplanner_takes_effect(self):
+        name = "memo-test-layout"
+        spec = platform_spec("Bm1", policy="thermal").with_(
+            floorplan=FloorplanSpec(kind=name)
+        )
+        cache = EngineCache()
+        try:
+            register_floorplanner(name, lambda arch, _: grid_floorplan(arch))
+            grid = layout(grid_floorplan(default_platform()))
+            assert layout(run_flow(spec).floorplan) == grid
+            assert layout(Flow(cache=cache).run(spec).floorplan) == grid
+            FLOORPLANNERS.unregister(name)
+            register_floorplanner(name, lambda arch, _: row_floorplan(arch))
+            row = layout(row_floorplan(default_platform()))
+            assert row != grid
+            assert layout(run_flow(spec).floorplan) == row
+            assert layout(Flow(cache=cache).run(spec).floorplan) == row
+            assert cache.stats()["platform_bypasses"] == 2
+            assert len(cache.platforms) == 0
+        finally:
+            if name in FLOORPLANNERS:
+                FLOORPLANNERS.unregister(name)
+
+    def test_provenance_marks_bypassed_stages(self):
+        name = "memo-test-provenance"
+        try:
+            register_workload(name, lambda: benchmark("Bm1"))
+            registered = platform_spec("Bm1").with_(graph=registered_source(name))
+            assert run_flow(registered).provenance["engine_cache"] == {
+                "workload": False, "platform": True,
+            }
+        finally:
+            WORKLOADS.unregister(name)
+        assert run_flow(CASES["gridmodel"]).provenance["engine_cache"] == {
+            "workload": True, "platform": False,
+        }
 
     def test_registered_workloads_are_never_stored(self):
         name = "memo-test-uncached"
