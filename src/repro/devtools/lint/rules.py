@@ -418,7 +418,9 @@ class DenseSolveRule(LintRule):
     ``ThermalQueryEngine`` precomputation.  A ``cho_solve`` (or
     ``np.linalg.solve``/``inv``) creeping back into scheduler, query or
     flow code re-introduces the 44x-slower path the BENCH_thermal CI
-    floor guards against.
+    floor guards against.  The raw LAPACK Cholesky routines the solver
+    calls directly (``potrf``/``potrs`` and the ``get_lapack_funcs``
+    that resolves them) are banned the same way.
     """
 
     rule_id = "PERF001"
@@ -437,7 +439,10 @@ class DenseSolveRule(LintRule):
     SCOPED_PREFIXES = (
         "repro/core/", "repro/thermal/", "repro/flow/", "repro/cosynth/",
     )
-    BARE_BANNED = frozenset({"cho_solve", "cho_factor"})
+    BARE_BANNED = frozenset({
+        "cho_solve", "cho_factor",
+        "potrs", "potrf", "dpotrs", "dpotrf", "get_lapack_funcs",
+    })
     DOTTED_BANNED = (
         "linalg.solve", "linalg.inv", "linalg.lstsq", "linalg.pinv",
         "linalg.cholesky",

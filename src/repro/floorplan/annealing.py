@@ -41,6 +41,11 @@ class AnnealingConfig:
     moves_per_temperature: int = 24
 
     def __post_init__(self) -> None:
+        # inf * cooling_rate stays inf: the schedule would never end
+        if not math.isfinite(self.initial_temperature):
+            raise FloorplanError(
+                f"initial_temperature must be finite, got {self.initial_temperature}"
+            )
         if not (0.0 < self.final_temperature < self.initial_temperature):
             raise FloorplanError(
                 "need 0 < final_temperature < initial_temperature"
@@ -90,12 +95,12 @@ def anneal_floorplan(
     result never regresses due to late uphill acceptances.
 
     *evaluate* and *rng* are the DSE injection hooks: *evaluate* replaces
-    the default expression scoring (evaluate + normalise + *objective*)
-    with an arbitrary ``expression -> (cost, floorplan)`` callback, and
-    *rng* supplies an externally owned random stream (it wins over *seed*),
-    letting a driver hand each run a deterministic substream.  With both
-    omitted the behaviour — including the RNG call sequence — is exactly
-    the legacy one.
+    the default expression scoring (slice the expression, then apply
+    *objective*) with an arbitrary ``expression -> (cost, floorplan)``
+    callback, and *rng* supplies an externally owned random stream (it
+    wins over *seed*), letting a driver hand each run a deterministic
+    substream.  With both omitted the behaviour — including the RNG call
+    sequence — is exactly the legacy one.
     """
     if len(architecture) == 0:
         raise FloorplanError("cannot floorplan an empty architecture")
@@ -104,7 +109,7 @@ def anneal_floorplan(
     rng = rng if rng is not None else as_random(seed)
     if evaluate is None:
         def evaluate(expression: PolishExpression) -> Tuple[float, Floorplan]:
-            plan = expression.evaluate().normalised()
+            plan = expression.evaluate()
             return objective(plan), plan
 
     current = initial if initial is not None else PolishExpression.initial(

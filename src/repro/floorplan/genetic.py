@@ -3,7 +3,7 @@
 Reproduction of the thermal-aware floorplanner the paper invokes inside its
 co-synthesis loop (ref [3]: Hung et al., "Thermal-Aware Floorplanning Using
 Genetic Algorithms", ISQED 2005).  Chromosomes are normalized Polish
-expressions; the GA combines
+expressions, held as immutable ``(tokens, rotated)`` tuples; the GA combines
 
 * **order crossover (OX)** on the operand (block) sequence, which preserves
   relative block adjacency from both parents,
@@ -19,9 +19,10 @@ conventional floorplanner — both modes are exercised by ablation A3.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..errors import FloorplanError, SlicingError
 from ..library.pe import Architecture
@@ -29,7 +30,9 @@ from ..obs import get_recorder
 from ..rng import SeedLike, as_random
 from .geometry import Floorplan
 from .objectives import FloorplanObjective, area_objective
-from .slicing import OPERATORS, PolishExpression
+from .slicing import (
+    OPERATORS, PolishExpression, _evaluate, _initial_tokens, _random_move,
+)
 
 __all__ = ["GeneticConfig", "GeneticResult", "evolve_floorplan"]
 
@@ -62,6 +65,10 @@ class GeneticConfig:
             raise FloorplanError("mutation_rate must be in [0, 1]")
         if not (0 <= self.elite_count < self.population_size):
             raise FloorplanError("need 0 <= elite_count < population_size")
+        if self.init_shuffle_moves < 0:
+            raise FloorplanError(
+                f"init_shuffle_moves must be >= 0, got {self.init_shuffle_moves}"
+            )
 
 
 @dataclass
@@ -88,54 +95,80 @@ def _dims_of(architecture: Architecture) -> Dict[str, Tuple[float, float]]:
     }
 
 
-def _random_individual(
-    dims: Dict[str, Tuple[float, float]], rng, shuffle_moves: int
+#: A GA individual: postfix tokens and rotated blocks.  Immutable and
+#: hashable, so it is its own memo key and survivors are shared, not copied.
+Chromosome = Tuple[Tuple[str, ...], FrozenSet[str]]
+
+
+def _expression(
+    chromosome: Chromosome, dims: Dict[str, Tuple[float, float]]
 ) -> PolishExpression:
-    order = list(dims)
-    rng.shuffle(order)
-    individual = PolishExpression.initial(dims, order=order)
-    for _ in range(shuffle_moves):
-        try:
-            individual = individual.random_move(rng)
-        except SlicingError:
-            break
-    return individual
+    """A fresh public expression for *chromosome* (well formed by construction)."""
+    tokens, rotated = chromosome
+    return PolishExpression._unchecked(tokens, dims, rotated)
 
 
-def _order_crossover(parent_a: List[str], parent_b: List[str], rng) -> List[str]:
-    """OX: keep a random slice of *parent_a*, fill the rest in *parent_b* order."""
-    size = len(parent_a)
-    if size < 2:
-        return list(parent_a)
-    i, j = sorted(rng.sample(range(size), 2))
-    child: List[Optional[str]] = [None] * size
-    child[i : j + 1] = parent_a[i : j + 1]
-    kept = set(parent_a[i : j + 1])
-    fill = [name for name in parent_b if name not in kept]
-    fill_iter = iter(fill)
-    for position in range(size):
-        if child[position] is None:
-            child[position] = next(fill_iter)
-    return child  # type: ignore[return-value]
+def _sample_indices(rng: random.Random, n: int, k: int) -> List[int]:
+    """``rng.sample(range(n), k)``, draw for draw, without its generic
+    sequence handling.
+
+    Mirrors CPython's :meth:`random.Random.sample` for a ``range``
+    population: a pool swap when an ``n``-list is smaller than a
+    ``k``-set, rejection sampling into a set otherwise.
+    ``rng.randrange(m)`` consumes exactly the ``_randbelow(m)`` draw that
+    ``sample`` makes.
+    """
+    randrange = rng.randrange
+    setsize = 21  # size of a small set minus size of an empty list
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    result: List[int] = []
+    if n <= setsize:
+        pool = list(range(n))
+        for left in range(n, n - k, -1):  # left: items still in the pool
+            j = randrange(left)
+            result.append(pool[j])
+            pool[j] = pool[left - 1]
+        return result
+    selected: Set[int] = set()
+    for _ in range(k):
+        j = randrange(n)
+        while j in selected:
+            j = randrange(n)
+        selected.add(j)
+        result.append(j)
+    return result
 
 
 def _crossover(
-    parent_a: PolishExpression, parent_b: PolishExpression, rng
-) -> PolishExpression:
-    """Child = parent_a's token skeleton + OX'd operand order + inherited rotations."""
-    order = _order_crossover(parent_a.operands(), parent_b.operands(), rng)
-    order_iter = iter(order)
-    tokens = [
-        token if token in OPERATORS else next(order_iter)
-        for token in parent_a.tokens
-    ]
-    rotated = {
+    parent_a: Chromosome, parent_b: Chromosome, rng: random.Random
+) -> Chromosome:
+    """Child = parent_a's skeleton + OX'd operand order + inherited rotations.
+
+    Order crossover (OX) keeps a random slice of parent_a's operands in
+    place and fills the other positions in parent_b's order.  parent_a's
+    skeleton over a permutation of its operands stays well formed.
+    """
+    (tokens_a, rotated_a), (tokens_b, rotated_b) = parent_a, parent_b
+    positions = [p for p, token in enumerate(tokens_a) if token not in OPERATORS]
+    order = [tokens_a[p] for p in positions]
+    if len(order) >= 2:
+        i, j = _sample_indices(rng, len(order), 2)
+        if i > j:
+            i, j = j, i
+        kept = order[i : j + 1]
+        fill = [t for t in tokens_b if t not in OPERATORS and t not in kept]
+        order = fill[:i] + kept + fill[i:]
+    tokens = list(tokens_a)
+    for position, name in zip(positions, order):
+        tokens[position] = name
+    draw = rng.random
+    rotated = frozenset([
         name
         for name in order
-        if (name in parent_a.rotated if rng.random() < 0.5 else name in parent_b.rotated)
-    }
-    # parent_a's skeleton over a permutation of its operands: well formed
-    return PolishExpression._unchecked(tokens, dict(parent_a.dims), rotated)
+        if (name in rotated_a if draw() < 0.5 else name in rotated_b)
+    ])
+    return tuple(tokens), rotated
 
 
 def evolve_floorplan(
@@ -152,87 +185,102 @@ def evolve_floorplan(
     Single-block architectures return immediately.
 
     *evaluate* and *rng* are the DSE injection hooks: *evaluate* replaces
-    the default expression scoring (evaluate + normalise + *objective*)
-    with an arbitrary ``expression -> (cost, floorplan)`` callback, and
-    *rng* supplies an externally owned random stream (it wins over *seed*).
-    With both omitted the behaviour — including the RNG call sequence — is
-    exactly the legacy one.
+    the default expression scoring (slice the expression, then apply
+    *objective*) with an arbitrary ``expression -> (cost, floorplan)``
+    callback, and *rng* supplies an externally owned random stream (it
+    wins over *seed*).  With both omitted the behaviour — including the
+    RNG call sequence — is exactly the legacy one.
+
+    The search runs on immutable ``(tokens, rotated)`` chromosomes with the
+    slicing kernel of :mod:`repro.floorplan.slicing` (the same move code
+    :class:`PolishExpression` delegates to).  Offspring come from
+    crossover over one parent's operator skeleton and from the Wong–Liu
+    moves, which keep a chromosome well formed by construction, so they
+    skip the full Polish-expression check; elites and children that are
+    neither crossed nor mutated are the parent chromosome itself.
+    Tournament selection and order crossover draw through a replica of
+    ``random.Random.sample`` that consumes the same draws.
 
     The default scoring assumes *objective* is a pure function of the
-    plan: it slices and scores each distinct ``(tokens, rotated)``
-    chromosome once per call and returns the stored ``(cost, plan)`` for
-    repeats (elites, unmutated copies).  ``evaluations`` still counts
-    every scoring request, repeats included.  An injected *evaluate* is
-    called for every request, unmemoised.
-
-    Offspring come from crossover over one parent's operator skeleton and
-    from the Wong–Liu moves, which keep a chromosome well formed by
-    construction, so they skip the full Polish-expression re-check.  Each
-    call runs in a ``floorplan.evolve`` span (attributes ``blocks``,
-    ``objective``, ``evaluations`` and ``distinct``, the number of
-    chromosomes the default scoring sliced; ``None`` when *evaluate* is
-    injected).
+    plan: it slices and scores each distinct chromosome once per call and
+    returns the stored ``(cost, plan)`` for repeats.  ``evaluations``
+    still counts every scoring request, repeats included.  An injected
+    *evaluate* is called for every request, unmemoised, each time with a
+    fresh :class:`PolishExpression`; ``GeneticResult.expression`` is one
+    too.  Each call runs in a ``floorplan.evolve`` span (attributes
+    ``blocks``, ``objective``, ``evaluations`` and ``distinct``, the
+    number of chromosomes the default scoring sliced; ``None`` when
+    *evaluate* is injected).
     """
     if len(architecture) == 0:
         raise FloorplanError("cannot floorplan an empty architecture")
     objective = objective or area_objective()
     config = config or GeneticConfig()
     rng = rng if rng is not None else as_random(seed)
+    dims = _dims_of(architecture)
 
-    injected = evaluate is not None
-    memo: Dict[tuple, Tuple[float, Floorplan]] = {}
+    memo: Dict[Chromosome, Tuple[float, Floorplan]] = {}
     if evaluate is None:
-        # elites and unmutated copies recur every generation: score each
+        # elites and unmutated children recur every generation: score each
         # distinct chromosome once per call (objective must be pure)
-        def evaluate(individual: PolishExpression) -> Tuple[float, Floorplan]:
-            key = (tuple(individual.tokens), frozenset(individual.rotated))
-            scored_plan = memo.get(key)
+        def score(chromosome: Chromosome) -> Tuple[float, Floorplan]:
+            scored_plan = memo.get(chromosome)
             if scored_plan is None:
-                plan = individual.evaluate().normalised()
-                scored_plan = memo[key] = (objective(plan), plan)
+                plan = _evaluate(chromosome[0], chromosome[1], dims)
+                scored_plan = memo[chromosome] = (objective(plan), plan)
             return scored_plan
+    else:
+        def score(chromosome: Chromosome) -> Tuple[float, Floorplan]:
+            return evaluate(_expression(chromosome, dims))
 
     with get_recorder().span(
         "floorplan.evolve",
         blocks=len(architecture),
         objective="thermal" if objective.temp_weight > 0.0 else "area",
     ) as span:
-        result = _search(_dims_of(architecture), evaluate, config, rng)
+        result = _search(dims, score, config, rng)
         span.annotate(
             evaluations=result.evaluations,
-            distinct=None if injected else len(memo),
+            distinct=None if evaluate is not None else len(memo),
         )
     return result
 
 
 def _search(
     dims: Dict[str, Tuple[float, float]],
-    evaluate: EvaluateFn,
+    score: Callable[[Chromosome], Tuple[float, Floorplan]],
     config: GeneticConfig,
     rng: random.Random,
 ) -> GeneticResult:
     """The GA proper: seeded population, then ``config.generations`` rounds."""
     if len(dims) == 1:
-        only = PolishExpression.initial(dims)
-        cost, plan = evaluate(only)
-        return GeneticResult(only, plan, cost, 1, 0, [cost])
+        only: Chromosome = (tuple(dims), frozenset())
+        cost, plan = score(only)
+        return GeneticResult(_expression(only, dims), plan, cost, 1, 0, [cost])
 
-    population = [
-        _random_individual(dims, rng, config.init_shuffle_moves)
-        for _ in range(config.population_size)
-    ]
+    population: List[Chromosome] = []
+    for _ in range(config.population_size):
+        order = list(dims)
+        rng.shuffle(order)
+        individual: Chromosome = (tuple(_initial_tokens(order)), frozenset())
+        for _ in range(config.init_shuffle_moves):
+            try:
+                individual = _random_move(*individual, rng)
+            except SlicingError:
+                break
+        population.append(individual)
     scored = sorted(
-        ((evaluate(ind), ind) for ind in population), key=lambda item: item[0][0]
+        ((score(ind), ind) for ind in population), key=lambda item: item[0][0]
     )
     evaluations = len(population)
     history: List[float] = [scored[0][0][0]]
 
-    def tournament() -> PolishExpression:
-        picks = rng.sample(range(len(scored)), config.tournament_size)
+    def tournament() -> Chromosome:
+        picks = _sample_indices(rng, len(scored), config.tournament_size)
         return scored[min(picks)][1]  # scored is sorted: lower index = fitter
 
     for generation in range(config.generations):
-        next_population: List[PolishExpression] = [
+        next_population: List[Chromosome] = [
             item[1] for item in scored[: config.elite_count]
         ]
         while len(next_population) < config.population_size:
@@ -240,15 +288,15 @@ def _search(
             if rng.random() < config.crossover_rate:
                 child = _crossover(parent_a, parent_b, rng)
             else:
-                child = parent_a.copy()
+                child = parent_a
             if rng.random() < config.mutation_rate:
                 try:
-                    child = child.random_move(rng)
+                    child = _random_move(*child, rng)
                 except SlicingError:
                     pass
             next_population.append(child)
         scored = sorted(
-            ((evaluate(ind), ind) for ind in next_population),
+            ((score(ind), ind) for ind in next_population),
             key=lambda item: item[0][0],
         )
         evaluations += len(next_population)
@@ -257,5 +305,6 @@ def _search(
     (best_cost, best_plan), best = scored[0]
     best_plan.validate()
     return GeneticResult(
-        best, best_plan, best_cost, evaluations, config.generations, history
+        _expression(best, dims), best_plan, best_cost, evaluations,
+        config.generations, history,
     )

@@ -177,10 +177,11 @@ class Floorplan:
         """Smallest axis-aligned rectangle containing every block."""
         if not self._blocks:
             raise FloorplanError("empty floorplan has no bounding box")
-        x1 = min(b.rect.x for b in self)
-        y1 = min(b.rect.y for b in self)
-        x2 = max(b.rect.x2 for b in self)
-        y2 = max(b.rect.y2 for b in self)
+        rects = [b.rect for b in self._blocks.values()]
+        x1 = min([r.x for r in rects])
+        y1 = min([r.y for r in rects])
+        x2 = max([r.x + r.w for r in rects])
+        y2 = max([r.y + r.h for r in rects])
         return Rect(x1, y1, x2 - x1, y2 - y1)
 
     def die_size(self) -> Tuple[float, float]:

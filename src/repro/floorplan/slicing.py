@@ -14,12 +14,18 @@ consecutive operators are identical, which removes redundant encodings of
 the same plan.
 
 The three Wong–Liu perturbation moves are provided for the annealer, plus a
-rotation move (blocks may be placed in either orientation).
+rotation move (blocks may be placed in either orientation).  They and the
+slicing evaluation are implemented once, as private functions over
+``(tokens, rotated)`` (the *kernel*): :class:`PolishExpression`'s methods
+delegate to them, and the genetic floorplanner runs them directly on
+immutable ``(tuple, frozenset)`` chromosomes.  Every kernel move returns
+its tokens as a new tuple and never mutates its input.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+import random
+from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SlicingError
 from ..rng import SeedLike, as_random
@@ -30,6 +36,11 @@ __all__ = ["PolishExpression", "OPERATORS"]
 #: The two slicing operators.
 OPERATORS = ("H", "V")
 
+#: A kernel move's result: new tokens, and the rotated set it was given
+#: (a ``set`` for a :class:`PolishExpression`, a ``frozenset`` for a GA
+#: chromosome) or that set with one block toggled.
+Move = Tuple[Tuple[str, ...], AbstractSet[str]]
+
 
 def _repeated_operators(tokens: Sequence[str]) -> int:
     """Adjacent pairs of identical operators (0 for a normalized sequence)."""
@@ -37,6 +48,209 @@ def _repeated_operators(tokens: Sequence[str]) -> int:
         first == second and first in OPERATORS
         for first, second in zip(tokens, tokens[1:])
     )
+
+
+# ----------------------------------------------------------------------
+# kernel: moves and evaluation over (tokens, rotated)
+# ----------------------------------------------------------------------
+def _initial_tokens(names: Sequence[str], alternate: bool = True) -> List[str]:
+    """Left-leaning ``b0 b1 O b2 O …``; operators V, H, V, … or all V."""
+    tokens: List[str] = [names[0]]
+    for index, name in enumerate(names[1:]):
+        tokens.append(name)
+        tokens.append(OPERATORS[index % 2 == 0] if alternate else "V")
+    return tokens
+
+
+def _operands(tokens: Sequence[str]) -> List[str]:
+    return [t for t in tokens if t not in OPERATORS]
+
+
+def _swapped(tokens: Sequence[str], i: int, j: int) -> Tuple[str, ...]:
+    out = list(tokens)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+def _m1(
+    tokens: Sequence[str], rotated: AbstractSet[str], rand: Optional[random.Random],
+    first: Optional[int] = None,
+) -> Move:
+    """M1: swap operands ``first`` and ``first + 1`` (drawn when ``None``).
+
+    Operands trade places, so every prefix keeps its operand count: the
+    result is well formed by construction.
+    """
+    positions = [i for i, t in enumerate(tokens) if t not in OPERATORS]
+    if len(positions) < 2:
+        raise SlicingError("M1 needs at least two operands")
+    if first is None:
+        first = rand.randrange(len(positions) - 1)
+    return _swapped(tokens, positions[first], positions[first + 1]), rotated
+
+
+def _operator_chains(tokens: Sequence[str]) -> List[List[int]]:
+    chains: List[List[int]] = []
+    current: List[int] = []
+    for index, token in enumerate(tokens):
+        if token in OPERATORS:
+            current.append(index)
+        elif current:
+            chains.append(current)
+            current = []
+    if current:
+        chains.append(current)
+    return chains
+
+
+def _m2(
+    tokens: Sequence[str], rotated: AbstractSet[str], rand: Optional[random.Random],
+    index: Optional[int] = None,
+) -> Move:
+    """M2: complement a maximal operator chain (drawn when *index* is ``None``).
+
+    Operators stay operators, so every prefix keeps its operator count.
+    """
+    chains = _operator_chains(tokens)
+    if not chains:
+        raise SlicingError("M2 needs at least one operator")
+    chain = rand.choice(chains) if index is None else chains[index % len(chains)]
+    out = list(tokens)
+    for position in chain:
+        out[position] = "V" if out[position] == "H" else "H"
+    return tuple(out), rotated
+
+
+def _m3_test(tokens: Sequence[str]) -> Callable[[int], bool]:
+    """Predicate: does swapping the operand/operator pair at ``(i, i + 1)``
+    keep this (well-formed) expression well formed and normalized?
+
+    Decided locally per pair instead of re-scanning a swapped copy.
+    Only an operator moving one place left can break balloting, and
+    only at its new position ``i``: it needs more operands than
+    operators before it.  Normalization changes only across the three
+    adjacent pairs around the swap, so the expression-wide count of
+    repeated operators is corrected there.
+    """
+    before = [0]  # before[i]: operators in tokens[:i]
+    for token in tokens:
+        before.append(before[-1] + (token in OPERATORS))
+    total = _repeated_operators(tokens)
+
+    def legal(i: int) -> bool:
+        operators = before[i]
+        if tokens[i + 1] in OPERATORS and operators + 1 >= i - operators:
+            return False
+        window = tokens[max(i - 1, 0) : i + 3]
+        swapped = list(window)
+        j = min(i, 1)  # the pair's offset inside the window
+        swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
+        return total - _repeated_operators(window) + _repeated_operators(swapped) == 0
+
+    return legal
+
+
+def _m3(tokens: Sequence[str], rotated: AbstractSet[str], rand: random.Random) -> Move:
+    """M3: swap the first adjacent operand/operator pair, in random order,
+    that passes :func:`_m3_test`; raises if none does."""
+    candidates = [
+        i
+        for i in range(len(tokens) - 1)
+        if (tokens[i] in OPERATORS) != (tokens[i + 1] in OPERATORS)
+    ]
+    rand.shuffle(candidates)
+    legal = _m3_test(tokens)
+    for i in candidates:
+        if legal(i):
+            return _swapped(tokens, i, i + 1), rotated
+    raise SlicingError("no legal M3 move exists for this expression")
+
+
+def _rotate(
+    tokens: Sequence[str], rotated: AbstractSet[str], rand: Optional[random.Random],
+    name: Optional[str] = None,
+) -> Move:
+    """Toggle the orientation of block *name* (drawn when ``None``)."""
+    if name is None:
+        name = rand.choice(_operands(tokens))
+    return tuple(tokens), rotated ^ {name}
+
+
+_MOVES = (_m1, _m2, _m3, _rotate)
+
+
+def _random_move(
+    tokens: Sequence[str], rotated: AbstractSet[str], rand: random.Random
+) -> Move:
+    """One of M1/M2/M3/rotate, uniformly: the first legal in shuffled order."""
+    order = list(_MOVES)
+    rand.shuffle(order)
+    for move in order:
+        try:
+            return move(tokens, rotated, rand)
+        except SlicingError:
+            continue
+    raise SlicingError("no legal move exists")  # 1-block expressions
+
+
+def _evaluate(
+    tokens: Sequence[str],
+    rotated: AbstractSet[str],
+    dims: Dict[str, Tuple[float, float]],
+) -> Floorplan:
+    """Realise ``(tokens, rotated)`` as a placed plan; see
+    :meth:`PolishExpression.evaluate`.
+
+    Node indices are token positions.  An operator's right child is the
+    node just before it (postfix); its left child comes off the stack.  A
+    bottom-up pass sizes every subtree; a top-down pass (descending
+    positions visit parents before children) places them, the left child
+    at the parent's corner.
+    """
+    count = len(tokens)
+    widths = [0.0] * count
+    heights = [0.0] * count
+    lefts = [-1] * count  # -1: a leaf
+    stack: List[int] = []
+    for node, token in enumerate(tokens):
+        if token in OPERATORS:
+            right = stack.pop()
+            left = lefts[node] = stack.pop()
+            if token == "V":
+                widths[node] = widths[left] + widths[right]
+                heights[node] = max(heights[left], heights[right])
+            else:
+                widths[node] = max(widths[left], widths[right])
+                heights[node] = heights[left] + heights[right]
+        elif token in rotated:
+            heights[node], widths[node] = dims[token]
+        else:
+            widths[node], heights[node] = dims[token]
+        stack.append(node)
+    stack.pop()
+    if stack:
+        raise SlicingError("expression leaves extra subtrees on the stack")
+
+    xs = [0.0] * count
+    ys = [0.0] * count
+    for node in range(count - 1, 0, -1):
+        left = lefts[node]
+        if left < 0:
+            continue
+        right = node - 1
+        xs[left] = xs[right] = xs[node]
+        ys[left] = ys[right] = ys[node]
+        if tokens[node] == "V":
+            xs[right] += widths[left]
+        else:
+            ys[right] += heights[left]
+
+    plan = Floorplan()
+    for node, token in enumerate(tokens):
+        if lefts[node] < 0:
+            rect = Rect(xs[node], ys[node], widths[node], heights[node])
+            plan.add(Block(token, rect))
+    return plan
 
 
 class PolishExpression:
@@ -67,21 +281,25 @@ class PolishExpression:
     @classmethod
     def _unchecked(
         cls,
-        tokens: List[str],
+        tokens: Sequence[str],
         dims: Dict[str, Tuple[float, float]],
-        rotated: Set[str],
+        rotated: AbstractSet[str],
     ) -> "PolishExpression":
-        """Adopt *tokens*/*dims*/*rotated* as-is, skipping the full check.
+        """Fresh containers over *tokens*/*dims*/*rotated*, skipping the
+        full check.
 
-        Only for moves that keep an expression well formed by construction
-        (Wong & Liu, DAC 1986): M1 and M2, crossover over one skeleton, and
-        :meth:`copy`.  Callers hand over freshly built containers.
+        Only for states that are well formed by construction (Wong & Liu,
+        DAC 1986): the kernel moves, GA chromosomes, and :meth:`copy`.
         """
         expression = object.__new__(cls)
-        expression.tokens = tokens
-        expression.dims = dims
-        expression.rotated = rotated
+        expression.tokens = list(tokens)
+        expression.dims = dict(dims)
+        expression.rotated = set(rotated)
         return expression
+
+    def _adopt(self, move: Move) -> "PolishExpression":
+        tokens, rotated = move
+        return PolishExpression._unchecked(tokens, self.dims, rotated)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -106,20 +324,11 @@ class PolishExpression:
             raise SlicingError(f"blocks without dimensions: {unknown}")
         if len(set(names)) != len(names):
             raise SlicingError("duplicate block names in order")
-        tokens: List[str] = [names[0]]
-        for index, name in enumerate(names[1:]):
-            tokens.append(name)
-            if alternate:
-                tokens.append(OPERATORS[index % 2 == 0])  # V, H, V, H, ...
-            else:
-                tokens.append("V")
-        return cls(tokens, dims)
+        return cls(_initial_tokens(names, alternate), dims)
 
     def copy(self) -> "PolishExpression":
         """Independent copy."""
-        return PolishExpression._unchecked(
-            list(self.tokens), dict(self.dims), set(self.rotated)
-        )
+        return PolishExpression._unchecked(self.tokens, self.dims, self.rotated)
 
     # ------------------------------------------------------------------
     # structure checks
@@ -154,34 +363,15 @@ class PolishExpression:
 
     def is_normalized(self) -> bool:
         """True if no two consecutive operators are identical."""
-        previous = None
-        for token in self.tokens:
-            if token in OPERATORS and token == previous:
-                return False
-            previous = token if token in OPERATORS else None
-        return True
+        return _repeated_operators(self.tokens) == 0
 
     def operands(self) -> List[str]:
         """Block names in expression order."""
-        return [t for t in self.tokens if t not in OPERATORS]
-
-    def operator_positions(self) -> List[int]:
-        """Indices of operator tokens."""
-        return [i for i, t in enumerate(self.tokens) if t in OPERATORS]
-
-    def operand_positions(self) -> List[int]:
-        """Indices of operand tokens."""
-        return [i for i, t in enumerate(self.tokens) if t not in OPERATORS]
+        return _operands(self.tokens)
 
     # ------------------------------------------------------------------
     # geometry
     # ------------------------------------------------------------------
-    def _block_dims(self, name: str) -> Tuple[float, float]:
-        w, h = self.dims[name]
-        if name in self.rotated:
-            return (h, w)
-        return (w, h)
-
     def evaluate(self) -> Floorplan:
         """Realise the expression as a placed :class:`Floorplan`.
 
@@ -189,70 +379,12 @@ class PolishExpression:
         heights max; ``H``: heights add, widths max), then a top-down pass
         assigns coordinates.  Blocks are bottom/left aligned within their
         slice, which keeps all contacts tight (good for lateral thermal
-        coupling and matches classic slicing-floorplan drawings).
+        coupling and matches classic slicing-floorplan drawings).  The
+        root sits at the origin, so the bounding box's corner is ``(0, 0)``
+        and :meth:`~repro.floorplan.geometry.Floorplan.normalised` would
+        return equal rectangles.
         """
-        # bottom-up sizes: each stack item is (node_index, w, h)
-        sizes: List[Tuple[float, float]] = []
-        children: List[Optional[Tuple[int, int]]] = []
-        stack: List[int] = []
-        for token in self.tokens:
-            if token in OPERATORS:
-                right = stack.pop()
-                left = stack.pop()
-                wl, hl = sizes[left]
-                wr, hr = sizes[right]
-                if token == "V":
-                    size = (wl + wr, max(hl, hr))
-                else:
-                    size = (max(wl, wr), hl + hr)
-                sizes.append(size)
-                children.append((left, right))
-                stack.append(len(sizes) - 1)
-            else:
-                sizes.append(self._block_dims(token))
-                children.append(None)
-                stack.append(len(sizes) - 1)
-        root = stack.pop()
-        if stack:
-            raise SlicingError("expression leaves extra subtrees on the stack")
-
-        # top-down placement (node indices equal token positions, because one
-        # sizes/children entry is appended per token)
-        plan = Floorplan()
-        operand_tokens = self.operands()
-
-        def place(node: int, x: float, y: float) -> None:
-            child = children[node]
-            if child is None:
-                name = self._leaf_name(node)
-                w, h = sizes[node]
-                plan.add(Block(name, Rect(x, y, w, h)))
-                return
-            left, right = child
-            token = self._node_operator(node)
-            if token == "V":
-                place(left, x, y)
-                place(right, x + sizes[left][0], y)
-            else:
-                place(left, x, y)
-                place(right, x, y + sizes[left][1])
-
-        place(root, 0.0, 0.0)
-        if len(plan) != len(operand_tokens):
-            raise SlicingError("evaluation lost blocks")  # defensive
-        return plan
-
-    def _leaf_name(self, node: int) -> str:
-        token = self.tokens[node]
-        if token in OPERATORS:
-            raise SlicingError(f"node {node} is not a leaf")
-        return token
-
-    def _node_operator(self, node: int) -> str:
-        token = self.tokens[node]
-        if token not in OPERATORS:
-            raise SlicingError(f"node {node} is not an operator")
-        return token
+        return _evaluate(self.tokens, self.rotated, self.dims)
 
     def die_area(self) -> float:
         """Bounding-box area of the realised plan (mm²)."""
@@ -264,130 +396,36 @@ class PolishExpression:
     # ------------------------------------------------------------------
     def move_swap_operands(self, rng_or_pair) -> "PolishExpression":
         """M1: swap two adjacent operands (adjacent in operand order)."""
-        positions = self.operand_positions()
-        if len(positions) < 2:
-            raise SlicingError("M1 needs at least two operands")
         if isinstance(rng_or_pair, tuple):
-            first = rng_or_pair[0]
-        else:
-            first = as_random(rng_or_pair).randrange(len(positions) - 1)
-        i, j = positions[first], positions[first + 1]
-        # operands trade places: every prefix keeps its operand count
-        clone = self.copy()
-        clone.tokens[i], clone.tokens[j] = clone.tokens[j], clone.tokens[i]
-        return clone
+            return self._adopt(_m1(self.tokens, self.rotated, None, rng_or_pair[0]))
+        return self._adopt(_m1(self.tokens, self.rotated, as_random(rng_or_pair)))
 
     def move_complement_chain(self, rng_or_index) -> "PolishExpression":
         """M2: complement a maximal chain of consecutive operators."""
-        chains = self._operator_chains()
-        if not chains:
-            raise SlicingError("M2 needs at least one operator")
         if isinstance(rng_or_index, int):
-            chain = chains[rng_or_index % len(chains)]
-        else:
-            chain = as_random(rng_or_index).choice(chains)
-        # operators stay operators: every prefix keeps its operator count
-        clone = self.copy()
-        for position in chain:
-            clone.tokens[position] = "V" if clone.tokens[position] == "H" else "H"
-        return clone
-
-    def _operator_chains(self) -> List[List[int]]:
-        chains: List[List[int]] = []
-        current: List[int] = []
-        for index, token in enumerate(self.tokens):
-            if token in OPERATORS:
-                current.append(index)
-            elif current:
-                chains.append(current)
-                current = []
-        if current:
-            chains.append(current)
-        return chains
+            return self._adopt(_m2(self.tokens, self.rotated, None, rng_or_index))
+        return self._adopt(_m2(self.tokens, self.rotated, as_random(rng_or_index)))
 
     def move_swap_operand_operator(self, rng: SeedLike = None) -> "PolishExpression":
         """M3: swap an adjacent operand/operator pair.
 
         Takes the first adjacent pair, in random order, whose swap
-        preserves the balloting property and normalization
-        (:meth:`_m3_test`); raises if no legal M3 exists.
+        preserves the balloting property and normalization; raises if no
+        legal M3 exists.
         """
-        rand = as_random(rng)
-        candidates = [
-            i
-            for i in range(len(self.tokens) - 1)
-            if (self.tokens[i] in OPERATORS) != (self.tokens[i + 1] in OPERATORS)
-        ]
-        rand.shuffle(candidates)
-        legal = self._m3_test()
-        for i in candidates:
-            if legal(i):
-                clone = self.copy()
-                clone.tokens[i], clone.tokens[i + 1] = clone.tokens[i + 1], clone.tokens[i]
-                return clone
-        raise SlicingError("no legal M3 move exists for this expression")
-
-    def _m3_test(self) -> Callable[[int], bool]:
-        """Predicate: does swapping the operand/operator pair at ``(i, i + 1)``
-        keep this (well-formed) expression well formed and normalized?
-
-        Decided locally per pair instead of re-scanning a swapped copy.
-        Only an operator moving one place left can break balloting, and
-        only at its new position ``i``: it needs more operands than
-        operators before it.  Normalization changes only across the three
-        adjacent pairs around the swap, so the expression-wide count of
-        repeated operators is corrected there.
-        """
-        tokens = self.tokens
-        before = [0]  # before[i]: operators in tokens[:i]
-        for token in tokens:
-            before.append(before[-1] + (token in OPERATORS))
-        total = _repeated_operators(tokens)
-
-        def legal(i: int) -> bool:
-            operators = before[i]
-            if tokens[i + 1] in OPERATORS and operators + 1 >= i - operators:
-                return False
-            window = tokens[max(i - 1, 0) : i + 3]
-            swapped = list(window)
-            j = min(i, 1)  # the pair's offset inside the window
-            swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
-            return total - _repeated_operators(window) + _repeated_operators(swapped) == 0
-
-        return legal
+        return self._adopt(_m3(self.tokens, self.rotated, as_random(rng)))
 
     def move_rotate(self, rng_or_name) -> "PolishExpression":
         """Toggle the orientation of one block."""
         if isinstance(rng_or_name, str):
-            name = rng_or_name
-            if name not in self.dims:
-                raise SlicingError(f"unknown block {name!r}")
-        else:
-            name = as_random(rng_or_name).choice(self.operands())
-        clone = self.copy()
-        if name in clone.rotated:
-            clone.rotated.discard(name)
-        else:
-            clone.rotated.add(name)
-        return clone
+            if rng_or_name not in self.dims:
+                raise SlicingError(f"unknown block {rng_or_name!r}")
+            return self._adopt(_rotate(self.tokens, self.rotated, None, rng_or_name))
+        return self._adopt(_rotate(self.tokens, self.rotated, as_random(rng_or_name)))
 
     def random_move(self, rng: SeedLike = None) -> "PolishExpression":
         """Apply one random move (M1/M2/M3/rotate), uniformly."""
-        rand = as_random(rng)
-        moves = [
-            self.move_swap_operands,
-            self.move_complement_chain,
-            self.move_swap_operand_operator,
-            self.move_rotate,
-        ]
-        order = list(moves)
-        rand.shuffle(order)
-        for move in order:
-            try:
-                return move(rand)
-            except SlicingError:
-                continue
-        raise SlicingError("no legal move exists")  # 1-block expressions
+        return self._adopt(_random_move(self.tokens, self.rotated, as_random(rng)))
 
     def __repr__(self) -> str:
         return f"PolishExpression({' '.join(self.tokens)})"

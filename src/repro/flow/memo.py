@@ -233,9 +233,7 @@ def _bundle_nbytes(bundle: PlatformBundle) -> int:
         getattr(bundle.engine, "avg_sensitivity", None),
     ):
         total += getattr(array, "nbytes", 0)
-    factor = getattr(bundle.solver, "_factor", None)
-    if factor:
-        total += getattr(factor[0], "nbytes", 0)
+    total += getattr(getattr(bundle.solver, "_factor", None), "nbytes", 0)
     return total or 4096
 
 

@@ -5,7 +5,11 @@ candidate PE) pair at every scheduling step, so the steady-state solve is
 the hot path of the whole reproduction.  :class:`SteadyStateSolver`
 therefore factorises the conductance matrix **once** (Cholesky — ``G`` is
 symmetric positive definite once grounded) and reuses the factor for every
-power vector.
+power vector.  It calls LAPACK ``potrf``/``potrs`` directly — the routines
+``scipy.linalg.cho_factor``/``cho_solve`` dispatch to, so the results are
+bit-identical — which skips the wrappers' per-call argument handling: on
+the few-node networks of a co-synthesis floorplan that handling costs
+several times the backsolve itself.
 """
 
 from __future__ import annotations
@@ -14,12 +18,16 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg.lapack import get_lapack_funcs
 
 from ..errors import IllConditionedUpdateError, SingularNetworkError, ThermalError
 from .network import ThermalNetwork
 
 __all__ = ["LowRankUpdate", "SteadyStateSolver"]
+
+#: Double-precision Cholesky factorisation and backsolve (dpotrf/dpotrs),
+#: resolved once; the factor is upper triangular, as ``cho_factor``'s.
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((0, 0)),))
 
 
 @dataclass(frozen=True)
@@ -67,13 +75,16 @@ class SteadyStateSolver:
     def __init__(self, network: ThermalNetwork):
         network.check_grounded()
         self.network = network
-        matrix = network.conductance_matrix()
-        try:
-            self._factor = cho_factor(matrix)
-        except LinAlgError as exc:
+        matrix = np.asarray_chkfinite(network.conductance_matrix())
+        factor, info = _POTRF(matrix, lower=False, overwrite_a=False, clean=False)
+        if info > 0:
             raise SingularNetworkError(
-                f"conductance matrix is not SPD: {exc}"
-            ) from exc
+                f"conductance matrix is not SPD: {info}-th leading minor of "
+                f"the array is not positive definite"
+            )
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of potrf")
+        self._factor = factor
         self.solve_count = 0
 
     def fork(self) -> "SteadyStateSolver":
@@ -97,13 +108,13 @@ class SteadyStateSolver:
                 f"({len(self.network)},)"
             )
         self.solve_count += 1
-        return cho_solve(self._factor, power)
+        return self._backsolve(power)
 
     def solve_rise_many(self, powers: np.ndarray) -> np.ndarray:
         """Temperature rises for a 2-D power matrix, one backsolve call.
 
         ``powers`` is ``(n_nodes, k)`` — one power vector per column; the
-        result has the same shape.  A multi-RHS ``cho_solve`` amortises the
+        result has the same shape.  A multi-RHS backsolve amortises the
         factor traversal over all columns, which is what makes batched
         block queries and influence-vector precomputation cheap.
         """
@@ -114,7 +125,19 @@ class SteadyStateSolver:
                 f"({len(self.network)}, k)"
             )
         self.solve_count += powers.shape[1]
-        return cho_solve(self._factor, powers)
+        return self._backsolve(powers)
+
+    def _backsolve(self, rhs: np.ndarray) -> np.ndarray:
+        """``G⁻¹ rhs`` against the cached factor (*rhs* is not modified).
+
+        Raises ``ValueError`` on a non-finite *rhs*, as ``cho_solve`` does.
+        """
+        solution, info = _POTRS(
+            self._factor, np.asarray_chkfinite(rhs), lower=False, overwrite_b=False
+        )
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of potrs")
+        return solution
 
     def low_rank_update(
         self,

@@ -212,12 +212,37 @@ class TestPERF001DenseSolve:
         }, rules=["PERF001"])
         assert one_violation(report, "PERF001").line == 2
 
+    def test_direct_lapack_cholesky_outside_solver_flagged(self, tmp_path):
+        # the raw routines SteadyStateSolver calls are banned elsewhere too
+        report = lint_tree(tmp_path, {
+            "src/repro/core/fastpath.py":
+                "from scipy.linalg.lapack import dpotrs, get_lapack_funcs\n"
+                "potrs, = get_lapack_funcs(('potrs',))\n"
+                "x = dpotrs([[1.0]], [1.0])\n",
+            "src/repro/flow/hot.py":
+                "from scipy.linalg import lapack\n"
+                "c = lapack.dpotrf([[2.0]])\n",
+            "src/repro/cosynth/loop.py":
+                "def solve(potrf, potrs, a, b):\n"
+                "    return potrs(potrf(a)[0], b)\n",
+        }, rules=["PERF001"])
+        assert sorted((v.path, v.line) for v in report.violations) == [
+            ("src/repro/core/fastpath.py", 2),
+            ("src/repro/core/fastpath.py", 3),
+            ("src/repro/cosynth/loop.py", 2),
+            ("src/repro/cosynth/loop.py", 2),
+            ("src/repro/flow/hot.py", 2),
+        ]
+        assert {v.rule for v in report.violations} == {"PERF001"}
+
     def test_reference_solver_modules_allowed(self, tmp_path):
         report = lint_tree(tmp_path, {
             "src/repro/thermal/steady.py":
                 "from scipy.linalg import cho_factor, cho_solve\n"
+                "from scipy.linalg.lapack import get_lapack_funcs\n"
                 "factor = cho_factor([[2.0]])\n"
-                "x = cho_solve(factor, [1.0])\n",
+                "x = cho_solve(factor, [1.0])\n"
+                "potrf, potrs = get_lapack_funcs(('potrf', 'potrs'))\n",
             # outside the policed prefixes entirely
             "src/repro/viz/plot.py":
                 "import numpy as np\n"

@@ -125,6 +125,12 @@ class TestAnnealing:
         with pytest.raises(FloorplanError):
             AnnealingConfig(moves_per_temperature=0)
 
+    def test_infinite_initial_temperature_rejected(self):
+        # inf * cooling_rate stays inf, so the schedule would never end;
+        # only the constructor is exercised, never the anneal
+        with pytest.raises(FloorplanError, match="initial_temperature.*inf"):
+            AnnealingConfig(initial_temperature=float("inf"))
+
 
 class TestGenetic:
     def test_result_is_valid_floorplan(self):
@@ -169,6 +175,11 @@ class TestGenetic:
             seed=4,
         )
         assert peak(thermal_result.floorplan) <= peak(area_result.floorplan) + 1e-6
+
+    def test_negative_init_shuffle_moves_rejected(self):
+        with pytest.raises(FloorplanError, match="init_shuffle_moves.*-3"):
+            GeneticConfig(init_shuffle_moves=-3)
+        assert GeneticConfig(init_shuffle_moves=0).init_shuffle_moves == 0
 
     def test_bad_config_rejected(self):
         with pytest.raises(FloorplanError):

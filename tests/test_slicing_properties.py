@@ -8,6 +8,11 @@ The key invariants of the Polish-expression representation:
 * the die bounding box always contains all blocks;
 * the moves that skip the full well-formedness check (M1, M2, crossover,
   ``copy()``, and M3's local legality test) agree with it;
+* the kernel functions the GA runs on ``(tuple, frozenset)`` chromosomes
+  agree with the :class:`PolishExpression` methods, and the GA's sampling
+  replica with ``random.Random.sample``, draw for draw;
+* the default scoring path's shortcuts (no ``normalised()`` copy, one
+  bounding-box scan per cost) change no bit;
 * the RNG call sequence of the moves, and so the GA's and the annealer's
   outputs for fixed seeds, stay pinned.
 """
@@ -21,9 +26,13 @@ from hypothesis import strategies as st
 from repro.cosynth.allocation import feasible_allocations
 from repro.errors import SlicingError
 from repro.floorplan.annealing import AnnealingConfig, anneal_floorplan
-from repro.floorplan.genetic import GeneticConfig, _crossover, evolve_floorplan
+from repro.floorplan.genetic import (
+    GeneticConfig, _crossover, _sample_indices, evolve_floorplan,
+)
 from repro.floorplan.objectives import FloorplanObjective
-from repro.floorplan.slicing import OPERATORS, PolishExpression
+from repro.floorplan.slicing import (
+    OPERATORS, PolishExpression, _m1, _m2, _m3, _m3_test, _random_move, _rotate,
+)
 from repro.library.presets import default_catalogue, library_for_graph
 from repro.taskgraph.benchmarks import BENCHMARK_NAMES, benchmark
 
@@ -139,7 +148,7 @@ def test_moves_are_reproducible(expr, seed):
 @given(expr=st.one_of(expressions(), relabelled()))
 @settings(max_examples=150, deadline=None)
 def test_local_m3_test_matches_full_check(expr):
-    legal = expr._m3_test()
+    legal = _m3_test(expr.tokens)
     tokens = expr.tokens
     for i in range(len(tokens) - 1):
         if (tokens[i] in OPERATORS) == (tokens[i + 1] in OPERATORS):
@@ -175,7 +184,12 @@ def test_unchecked_moves_pass_the_full_check(expr, seed):
 @settings(max_examples=80, deadline=None)
 def test_crossover_children_pass_the_full_check(parents, seed):
     parent_a, parent_b = parents
-    child = _crossover(parent_a, parent_b, random.Random(seed))
+    tokens, rotated = _crossover(
+        (tuple(parent_a.tokens), frozenset(parent_a.rotated)),
+        (tuple(parent_b.tokens), frozenset(parent_b.rotated)),
+        random.Random(seed),
+    )
+    child = PolishExpression._unchecked(tokens, parent_a.dims, rotated)
     full_check(child)
     assert child.is_normalized()
     assert [t in OPERATORS for t in child.tokens] == [
@@ -193,6 +207,100 @@ def test_copy_is_independent(expr):
     clone.dims["extra"] = (1.0, 1.0)
     clone.rotated.add("extra")
     assert (expr.tokens, expr.dims, expr.rotated) == (tokens, dims, rotated)
+
+
+# ----------------------------------------------------------------------
+# the chromosome kernel and the scoring path
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", range(20))
+def test_sample_indices_replicates_random_sample(seed):
+    # k <= 5 with n > 21 takes sample's rejection-set branch; every other
+    # case here (including all k > 5, whose set size is 85) the pool swap
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for n in range(2, 81):
+        for k in range(1, min(n, 12) + 1):
+            assert _sample_indices(ours, n, k) == theirs.sample(range(n), k), (n, k)
+            assert ours.random() == theirs.random(), (n, k)
+
+
+@given(expr=expressions(), seed=st.integers(min_value=0, max_value=2**31))
+@settings(max_examples=80, deadline=None)
+def test_move_methods_match_kernel(expr, seed):
+    chromosome = (tuple(expr.tokens), frozenset(expr.rotated))
+    pairs = [
+        (expr.move_swap_operands, _m1),
+        (expr.move_complement_chain, _m2),
+        (expr.move_swap_operand_operator, _m3),
+        (expr.move_rotate, _rotate),
+        (expr.random_move, _random_move),
+    ]
+    for method, kernel in pairs:
+        ours, theirs = random.Random(seed), random.Random(seed)
+        try:
+            moved = method(theirs)
+        except SlicingError:
+            with pytest.raises(SlicingError):
+                kernel(*chromosome, ours)
+        else:
+            tokens, rotated = kernel(*chromosome, ours)
+            assert isinstance(tokens, tuple) and isinstance(rotated, frozenset)
+            assert (list(tokens), set(rotated)) == (moved.tokens, moved.rotated)
+        assert ours.random() == theirs.random()
+    # the explicit-argument forms go through the same kernel functions
+    if len(expr.operands()) >= 2:
+        assert list(_m1(*chromosome, None, 0)[0]) == expr.move_swap_operands((0,)).tokens
+        assert list(_m2(*chromosome, None, 1)[0]) == expr.move_complement_chain(1).tokens
+    name = expr.operands()[0]
+    assert set(_rotate(*chromosome, None, name)[1]) == expr.move_rotate(name).rotated
+    assert chromosome == (tuple(expr.tokens), frozenset(expr.rotated))  # inputs untouched
+
+
+@given(expr=expressions())
+@settings(max_examples=60, deadline=None)
+def test_evaluate_is_already_normalised(expr):
+    plan = expr.evaluate()
+    box = plan.bounding_box()
+    assert (box.x, box.y) == (0.0, 0.0)
+    # repr tells -0.0 from 0.0: the translation changes no bit
+    assert [(b.name, repr(b.rect)) for b in plan.normalised()] == [
+        (b.name, repr(b.rect)) for b in plan
+    ]
+
+
+weights = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=5.0))
+
+
+@given(
+    expr=expressions(),
+    area=weights, temp=weights, wire=weights, aspect=weights,
+    limit=st.floats(min_value=0.5, max_value=4.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_objective_matches_two_scan_formula(expr, area, temp, wire, aspect, limit):
+    names = sorted(expr.dims)
+    nets = [(a, b, 1.5) for a, b in zip(names, names[1:])]
+
+    def temp_evaluator(plan):
+        return sum(b.rect.x * b.area for b in plan)
+
+    objective = FloorplanObjective(
+        area_weight=area, temp_weight=temp, wirelength_weight=wire,
+        aspect_weight=aspect, aspect_limit=limit,
+        temp_evaluator=temp_evaluator, nets=nets,
+    )
+    plan = expr.evaluate()
+    expected = 0.0
+    if area:
+        expected += area * plan.die_area
+    if temp:
+        expected += temp * temp_evaluator(plan)
+    if wire and nets:
+        expected += wire * plan.total_wirelength(nets)
+    if aspect:
+        box = plan.bounding_box()
+        excess = max(0.0, box.aspect_ratio - limit)
+        expected += aspect * excess * excess
+    assert repr(objective(plan)) == repr(expected)
 
 
 # ----------------------------------------------------------------------
@@ -278,3 +386,55 @@ def test_search_outputs_are_pinned(bm_allocations, name, seed, ga, sa):
         annealed.cost,
         annealed.accepted_moves,
     ) == sa
+
+
+#: (allocation, seed, GA tokens, rotated, cost, evaluations, the stream's
+#: next ``random()``) for the default ``GeneticConfig()`` — population 24,
+#: tournaments of 3, so selection takes ``sample``'s rejection-set branch —
+#: and for ``tournament_size=7``, whose set size (85) sends it back to the
+#: pool branch.  Captured before the GA moved onto the chromosome kernel.
+GOLDEN_GA_DEFAULT = [
+    ("emb-riscx2", 2005, "pe0 pe1 H", ["pe0"], 75.0, 744, 0.987229113602812),
+    ("lp-riscx3", 2006, "pe2 pe1 H pe0 H", ["pe1"], 80.0, 744, 0.9525106052794053),
+    ("dsp+emb-riscx2+vliw", 2007, "pe3 pe2 H pe1 H pe0 H", ["pe0", "pe1", "pe3"],
+     175.02551020408163, 744, 0.6745589297619734),
+    ("dspx2+lp-riscx2", 2008, "pe1 pe2 H pe0 pe3 H V", [], 102.375, 744,
+     0.7780060389621902),
+    ("accelx3+vliw", 2009, "pe3 pe2 pe1 H V pe0 V", ["pe2"], 105.0, 744,
+     0.6191742025361558),
+]
+GOLDEN_GA_TOURNAMENT_7 = [
+    ("emb-riscx2", 2005, "pe0 pe1 H", ["pe0"], 75.0, 744, 0.9787804117048946),
+    ("lp-riscx3", 2006, "pe2 pe1 H pe0 H", ["pe1"], 80.0, 744, 0.5127303179769892),
+    ("dsp+emb-riscx2+vliw", 2007, "pe0 pe1 H pe2 H pe3 H", ["pe0", "pe1"],
+     175.02551020408163, 744, 0.6437334519818148),
+    ("dspx2+lp-riscx2", 2008, "pe1 pe2 H pe0 pe3 H V", [], 102.375, 744,
+     0.15108421885913537),
+    ("accelx3+vliw", 2009, "pe3 pe2 pe1 H V pe0 V", ["pe2"], 105.0, 744,
+     0.5261693656729084),
+]
+
+
+@pytest.mark.parametrize(
+    "config, golden",
+    [
+        (GeneticConfig(), GOLDEN_GA_DEFAULT),
+        (GeneticConfig(tournament_size=7), GOLDEN_GA_TOURNAMENT_7),
+    ],
+    ids=["default", "tournament7"],
+)
+def test_default_population_outputs_are_pinned(bm_allocations, config, golden):
+    for name, seed, tokens, rotated, cost, evaluations, next_draw in golden:
+        architecture = bm_allocations[name]
+        rng = random.Random(seed)
+        evolved = evolve_floorplan(
+            architecture, objective=_wirelength_objective(architecture),
+            config=config, rng=rng,
+        )
+        assert (
+            " ".join(evolved.expression.tokens),
+            sorted(evolved.expression.rotated),
+            evolved.cost,
+            evolved.evaluations,
+            rng.random(),
+        ) == (tokens, rotated, cost, evaluations, next_draw), name

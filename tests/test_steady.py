@@ -75,3 +75,58 @@ class TestSolverMechanics:
         low = solver.temperatures({"b": 1.0})["b"]
         high = solver.temperatures({"b": 2.0})["b"]
         assert high > low
+
+
+class TestDirectBacksolve:
+    """The solver calls LAPACK potrf/potrs directly: the same routines
+    ``cho_factor``/``cho_solve`` dispatch to, so the bits must match."""
+
+    @staticmethod
+    def platform_network():
+        from repro.floorplan.platform import platform_floorplan
+        from repro.library.presets import default_platform
+        from repro.thermal.hotspot import HotSpotModel
+
+        return HotSpotModel(platform_floorplan(default_platform())).network
+
+    def test_bit_identical_to_cho_solve(self):
+        from scipy.linalg import cho_factor, cho_solve
+
+        network = self.platform_network()
+        solver = SteadyStateSolver(network)
+        factor = cho_factor(network.conductance_matrix())
+        rng = np.random.default_rng(2005)
+        power = rng.uniform(0.0, 10.0, len(network))
+        powers = rng.uniform(0.0, 10.0, (len(network), 7))
+        before = powers.copy()
+        assert solver.solve_rise(power).tobytes() == cho_solve(factor, power).tobytes()
+        many = solver.solve_rise_many(powers)
+        assert many.tobytes() == cho_solve(factor, powers).tobytes()
+        assert np.array_equal(powers, before)  # the right-hand side is not overwritten
+        assert solver.solve_rise_many(powers[:, :0]).shape == (len(network), 0)
+
+    def test_non_finite_power_rejected(self):
+        solver = SteadyStateSolver(star_network())
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solver.solve_rise(np.array([1.0, np.nan]))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solver.solve_rise_many(np.array([[np.inf], [0.0]]))
+
+    def test_non_spd_matrix_maps_to_singular_network_error(self, monkeypatch):
+        from repro.errors import SingularNetworkError
+
+        network = star_network()
+        monkeypatch.setattr(
+            network, "conductance_matrix", lambda: np.array([[1.0, 2.0], [2.0, 1.0]])
+        )
+        with pytest.raises(SingularNetworkError, match="2-th leading minor"):
+            SteadyStateSolver(network)
+
+    def test_fork_shares_the_factor(self):
+        solver = SteadyStateSolver(star_network())
+        clone = solver.fork()
+        assert clone._factor is solver._factor
+        assert clone.solve_rise(np.array([1.0, 2.0])).tobytes() == (
+            solver.solve_rise(np.array([1.0, 2.0])).tobytes()
+        )
+        assert (clone.solve_count, solver.solve_count) == (1, 1)
