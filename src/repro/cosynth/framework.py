@@ -19,9 +19,11 @@ the requirement is met.  Our realisation (see DESIGN.md "Substitutions"):
    changing or the iteration budget is exhausted.  Each ``run`` call asks
    each floorplan question once: the area-objective GA ignores the powers,
    so it runs once per allocation and later iterations and backoff steps
-   reuse its plan; the thermal objective builds one HotSpot model per
-   distinct placed plan and reuses it across GA calls.  Both memos are
-   locals of ``run``; the re-scheduling model is always a fresh build;
+   reuse its plan; the thermal objective factorises each distinct placed
+   plan's G matrix once and reuses that factor across GA calls, building
+   no HotSpot model (see :func:`~repro.thermal.blockmodel._plan_peak`).
+   Both memos are locals of ``run``; the re-scheduling model and the
+   final evaluation's are always full, fresh HotSpot builds;
 4. pick the allocation minimising the final cost (temperatures for the
    thermal flow, power for the power-aware flow).
 
@@ -33,7 +35,7 @@ floorplan, so it needs no framework: ``run_flow(platform_spec(...))`` in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.metrics import ScheduleEvaluation, evaluate_schedule
 from ..core.heuristics import DCPolicy, TaskEnergyPolicy
@@ -49,6 +51,7 @@ from ..library.presets import default_catalogue
 from ..library.technology import TechnologyLibrary
 from ..obs import get_recorder
 from ..taskgraph.graph import TaskGraph
+from ..thermal.blockmodel import _plan_peak
 from ..thermal.hotspot import HotSpotModel
 from ..thermal.package import PackageConfig, default_package
 from .allocation import feasible_allocations
@@ -59,6 +62,9 @@ __all__ = [
     "CoSynthesisResult",
     "CoSynthesisFramework",
 ]
+
+#: A placed plan's peak block temperature (°C) as a function of block powers.
+PeakFn = Callable[[Mapping[str, float]], float]
 
 
 @dataclass(frozen=True)
@@ -136,17 +142,19 @@ class CoSynthesisFramework:
         powers: Optional[Mapping[str, float]],
         thermal: bool,
         area_plans: Dict[tuple, Floorplan],
-        models: Dict[tuple, HotSpotModel],
+        peaks: Dict[tuple, PeakFn],
     ) -> Floorplan:
         """Floorplan one allocation (GA; thermal objective when requested).
 
-        *area_plans* and *models* are one :meth:`run` call's memos.  An
+        *area_plans* and *peaks* are one :meth:`run` call's memos.  An
         area-objective GA ignores the powers, so its plan is stored per
         architecture (PE names and dims, in order).  The thermal objective
-        builds one HotSpot model per distinct placed plan (block names and
-        rects, in order — the network's node order follows it) and reuses
-        it across GA calls: the same solve on the same factor, the same
-        bits.
+        asks only for peak temperatures, so it factorises each distinct
+        placed plan (block names and rects, in order — the node order
+        follows it) once, through the plan→peak kernel
+        :func:`~repro.thermal.blockmodel._plan_peak`, and reuses the
+        factor across GA calls: the solve ``HotSpotModel.peak_temperature``
+        makes, on the same factor, to the same bits, without the model.
         """
         if len(architecture) == 1:
             return platform_floorplan(architecture)
@@ -163,10 +171,10 @@ class CoSynthesisFramework:
 
         def peak_temp(plan: Floorplan) -> float:
             key = tuple((block.name, block.rect) for block in plan)
-            model = models.get(key)
-            if model is None:
-                model = models[key] = HotSpotModel(plan, package)
-            return model.peak_temperature(power_map)
+            peak = peaks.get(key)
+            if peak is None:
+                peak = peaks[key] = _plan_peak(plan, package)
+            return peak(power_map)
 
         return self._evolve(architecture, thermal_objective(peak_temp))
 
@@ -230,7 +238,7 @@ class CoSynthesisFramework:
         total_queries = 0
         # floorplan memos, dropped when this call returns (see _floorplan)
         area_plans: Dict[tuple, Floorplan] = {}
-        models: Dict[tuple, HotSpotModel] = {}
+        peaks: Dict[tuple, PeakFn] = {}
         with get_recorder().span("cosynth.refine", candidates=len(kept)):
             for rank_index, (_, _, architecture, schedule) in enumerate(kept):
                 floorplan = None
@@ -249,7 +257,7 @@ class CoSynthesisFramework:
                             thermal=config.thermal_floorplanning
                             and policy.requires_thermal,
                             area_plans=area_plans,
-                            models=models,
+                            peaks=peaks,
                         )
                         hotspot = HotSpotModel(floorplan, self.package)
                         scheduler = ListScheduler(

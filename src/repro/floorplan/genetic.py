@@ -27,7 +27,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 from ..errors import FloorplanError, SlicingError
 from ..library.pe import Architecture
 from ..obs import get_recorder
-from ..rng import SeedLike, as_random
+from ..rng import SeedLike, _draws_bits, _shuffle, as_random
 from .geometry import Floorplan
 from .objectives import FloorplanObjective, area_objective
 from .slicing import (
@@ -109,35 +109,77 @@ def _expression(
 
 
 def _sample_indices(rng: random.Random, n: int, k: int) -> List[int]:
-    """``rng.sample(range(n), k)``, draw for draw, without its generic
-    sequence handling.
+    """``rng.sample(range(n), k)``, draw for draw, straight over
+    ``rng.getrandbits``.
 
     Mirrors CPython's :meth:`random.Random.sample` for a ``range``
     population: a pool swap when an ``n``-list is smaller than a
-    ``k``-set, rejection sampling into a set otherwise.
-    ``rng.randrange(m)`` consumes exactly the ``_randbelow(m)`` draw that
-    ``sample`` makes.
+    ``k``-set, rejection sampling into a set otherwise; each index is
+    ``sample``'s ``_randbelow`` draw (see :func:`repro.rng._randbelow`).
+    A generator that draws another way gets its own ``sample``.
     """
-    randrange = rng.randrange
-    setsize = 21  # size of a small set minus size of an empty list
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if not _draws_bits(rng):
+        return rng.sample(range(n), k)
+    getrandbits = rng.getrandbits
     result: List[int] = []
-    if n <= setsize:
+    if n <= _sample_setsize(k):
         pool = list(range(n))
         for left in range(n, n - k, -1):  # left: items still in the pool
-            j = randrange(left)
+            bits = left.bit_length()
+            j = getrandbits(bits)
+            while j >= left:
+                j = getrandbits(bits)
             result.append(pool[j])
             pool[j] = pool[left - 1]
         return result
+    bits = n.bit_length()
     selected: Set[int] = set()
     for _ in range(k):
-        j = randrange(n)
-        while j in selected:
-            j = randrange(n)
+        # a draw past n and a repeat are both redrawn, in draw order
+        j = getrandbits(bits)
+        while j >= n or j in selected:
+            j = getrandbits(bits)
         selected.add(j)
         result.append(j)
     return result
+
+
+def _sample_setsize(k: int) -> int:
+    """``sample``'s pool/set threshold: a small set's size minus an empty
+    list's, grown for larger *k*."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    return setsize
+
+
+def _tournament(rng: random.Random, n: int, k: int) -> Callable[[], int]:
+    """``lambda: min(_sample_indices(rng, n, k))``, draw for draw.
+
+    When ``sample`` would take its pool branch on a generator drawing
+    through ``getrandbits``, each draw's bound and bit length are fixed
+    once for the GA's constant (population, tournament) sizes, and no
+    pool is kept.  The smallest pick is the smallest index drawn: an
+    index drawn for the first time still holds its own value, and the
+    swap only copies values from the pool's last ``k`` places, none
+    below ``n - k``, while the last draw is at most ``n - k``.
+    """
+    if not _draws_bits(rng) or n > _sample_setsize(k):
+        return lambda: min(_sample_indices(rng, n, k))
+    getrandbits = rng.getrandbits
+    draws = [(left, left.bit_length()) for left in range(n, n - k, -1)]
+
+    def pick() -> int:
+        best = n
+        for left, bits in draws:
+            j = getrandbits(bits)
+            while j >= left:
+                j = getrandbits(bits)
+            if j < best:
+                best = j
+        return best
+
+    return pick
 
 
 def _crossover(
@@ -150,15 +192,20 @@ def _crossover(
     skeleton over a permutation of its operands stays well formed.
     """
     (tokens_a, rotated_a), (tokens_b, rotated_b) = parent_a, parent_b
-    positions = [p for p, token in enumerate(tokens_a) if token not in OPERATORS]
-    order = [tokens_a[p] for p in positions]
+    positions: List[int] = []
+    order: List[str] = []
+    for position, token in enumerate(tokens_a):
+        if token not in OPERATORS:
+            positions.append(position)
+            order.append(token)
     if len(order) >= 2:
         i, j = _sample_indices(rng, len(order), 2)
         if i > j:
             i, j = j, i
         kept = order[i : j + 1]
-        fill = [t for t in tokens_b if t not in OPERATORS and t not in kept]
-        order = fill[:i] + kept + fill[i:]
+        kept_set = set(kept)
+        order = [t for t in tokens_b if t not in OPERATORS and t not in kept_set]
+        order[i:i] = kept
     tokens = list(tokens_a)
     for position, name in zip(positions, order):
         tokens[position] = name
@@ -198,8 +245,13 @@ def evolve_floorplan(
     moves, which keep a chromosome well formed by construction, so they
     skip the full Polish-expression check; elites and children that are
     neither crossed nor mutated are the parent chromosome itself.
-    Tournament selection and order crossover draw through a replica of
-    ``random.Random.sample`` that consumes the same draws.
+    Every bounded draw — seeding shuffles, tournaments, the crossover
+    slice, the moves — goes straight to ``rng.getrandbits`` through
+    replicas of ``randrange``/``shuffle``/``choice``/``sample``
+    (:mod:`repro.rng`, :func:`_sample_indices`, :func:`_tournament`)
+    that consume exactly the draws of the methods they replace, so the
+    stream, and every result, is the one those methods give.  An *rng*
+    whose class overrides only ``random()`` draws through its own methods.
 
     The default scoring assumes *objective* is a pure function of the
     plan: it slices and scores each distinct chromosome once per call and
@@ -261,7 +313,7 @@ def _search(
     population: List[Chromosome] = []
     for _ in range(config.population_size):
         order = list(dims)
-        rng.shuffle(order)
+        _shuffle(rng, order)
         individual: Chromosome = (tuple(_initial_tokens(order)), frozenset())
         for _ in range(config.init_shuffle_moves):
             try:
@@ -275,16 +327,15 @@ def _search(
     evaluations = len(population)
     history: List[float] = [scored[0][0][0]]
 
-    def tournament() -> Chromosome:
-        picks = _sample_indices(rng, len(scored), config.tournament_size)
-        return scored[min(picks)][1]  # scored is sorted: lower index = fitter
+    # the index of a tournament's winner: scored is sorted, lower is fitter
+    tournament = _tournament(rng, config.population_size, config.tournament_size)
 
     for generation in range(config.generations):
         next_population: List[Chromosome] = [
             item[1] for item in scored[: config.elite_count]
         ]
         while len(next_population) < config.population_size:
-            parent_a, parent_b = tournament(), tournament()
+            parent_a, parent_b = scored[tournament()][1], scored[tournament()][1]
             if rng.random() < config.crossover_rate:
                 child = _crossover(parent_a, parent_b, rng)
             else:

@@ -19,7 +19,9 @@ slicing evaluation are implemented once, as private functions over
 ``(tokens, rotated)`` (the *kernel*): :class:`PolishExpression`'s methods
 delegate to them, and the genetic floorplanner runs them directly on
 immutable ``(tuple, frozenset)`` chromosomes.  Every kernel move returns
-its tokens as a new tuple and never mutates its input.
+its tokens as a new tuple and never mutates its input, and draws through
+:mod:`repro.rng`'s ``_randbelow``/``_choice``/``_shuffle``, which consume
+exactly the draws of ``randrange``/``choice``/``shuffle``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import random
 from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SlicingError
-from ..rng import SeedLike, as_random
+from ..rng import SeedLike, _choice, _randbelow, _shuffle, as_random
 from .geometry import Block, Floorplan, Rect
 
 __all__ = ["PolishExpression", "OPERATORS"]
@@ -85,7 +87,7 @@ def _m1(
     if len(positions) < 2:
         raise SlicingError("M1 needs at least two operands")
     if first is None:
-        first = rand.randrange(len(positions) - 1)
+        first = _randbelow(rand, len(positions) - 1)
     return _swapped(tokens, positions[first], positions[first + 1]), rotated
 
 
@@ -114,7 +116,7 @@ def _m2(
     chains = _operator_chains(tokens)
     if not chains:
         raise SlicingError("M2 needs at least one operator")
-    chain = rand.choice(chains) if index is None else chains[index % len(chains)]
+    chain = _choice(rand, chains) if index is None else chains[index % len(chains)]
     out = list(tokens)
     for position in chain:
         out[position] = "V" if out[position] == "H" else "H"
@@ -158,7 +160,7 @@ def _m3(tokens: Sequence[str], rotated: AbstractSet[str], rand: random.Random) -
         for i in range(len(tokens) - 1)
         if (tokens[i] in OPERATORS) != (tokens[i + 1] in OPERATORS)
     ]
-    rand.shuffle(candidates)
+    _shuffle(rand, candidates)
     legal = _m3_test(tokens)
     for i in candidates:
         if legal(i):
@@ -172,7 +174,7 @@ def _rotate(
 ) -> Move:
     """Toggle the orientation of block *name* (drawn when ``None``)."""
     if name is None:
-        name = rand.choice(_operands(tokens))
+        name = _choice(rand, _operands(tokens))
     return tuple(tokens), rotated ^ {name}
 
 
@@ -184,7 +186,7 @@ def _random_move(
 ) -> Move:
     """One of M1/M2/M3/rotate, uniformly: the first legal in shuffled order."""
     order = list(_MOVES)
-    rand.shuffle(order)
+    _shuffle(rand, order)
     for move in order:
         try:
             return move(tokens, rotated, rand)

@@ -4,13 +4,15 @@ All stochastic components of the library (task-graph generation, technology
 library sampling, floorplan search) accept either an integer seed or a
 pre-built :class:`random.Random` / :class:`numpy.random.Generator`.  This
 module provides the canonicalisation helpers so every component treats seeds
-identically and experiments are reproducible bit-for-bit.
+identically and experiments are reproducible bit-for-bit, plus private
+shortcuts for hot loops that replay ``randrange``/``choice``/``shuffle``
+draw for draw.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional, Union
+from typing import List, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -62,3 +64,60 @@ def spawn_seeds(seed: SeedLike, count: int) -> list:
         raise ValueError(f"count must be non-negative, got {count}")
     rng = as_random(seed)
     return [rng.randrange(2**32) for _ in range(count)]
+
+
+# ----------------------------------------------------------------------
+# draw-identical shortcuts for hot loops
+# ----------------------------------------------------------------------
+#: ``Random``'s bounded-integer draw over ``getrandbits``.  ``randrange``,
+#: ``shuffle``, ``choice`` and ``sample`` all draw through ``_randbelow``;
+#: every ``Random`` whose class did not replace ``random()`` alone has
+#: this one, and the helpers below replay it without the argument layers
+#: of the public methods around it.
+_GETRANDBITS_BELOW = random.Random._randbelow_with_getrandbits
+
+_T = TypeVar("_T")
+
+
+def _draws_bits(rng: random.Random) -> bool:
+    """True when *rng* draws bounded integers through ``getrandbits``."""
+    return type(rng)._randbelow is _GETRANDBITS_BELOW
+
+
+def _randbelow(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)``, draw for draw.
+
+    A generator that draws another way (a subclass overriding only
+    ``random()``) gets its own ``randrange``.
+    """
+    if not _draws_bits(rng):
+        return rng.randrange(n)
+    if n <= 0:
+        raise ValueError("empty range for randrange()")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _choice(rng: random.Random, seq: Sequence[_T]) -> _T:
+    """``rng.choice(seq)`` for a non-empty *seq*, draw for draw."""
+    if not _draws_bits(rng):
+        return rng.choice(seq)
+    return seq[_randbelow(rng, len(seq))]
+
+
+def _shuffle(rng: random.Random, items: List[_T]) -> None:
+    """``rng.shuffle(items)``, draw for draw."""
+    if not _draws_bits(rng):
+        rng.shuffle(items)
+        return
+    getrandbits = rng.getrandbits
+    for i in range(len(items) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]

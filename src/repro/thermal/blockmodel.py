@@ -24,14 +24,17 @@ following the layer structure of HotSpot's block mode (Skadron et al.):
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from ..errors import ThermalError
+import numpy as np
+
+from ..errors import SingularNetworkError, ThermalError
 from ..floorplan.geometry import Floorplan
 from ..thermal.materials import COPPER
 from ..units import MM, mm2_to_m2
-from .network import ThermalNetwork
+from .network import ThermalNetwork, _assemble_conductance, _source_power
 from .package import PackageConfig, default_package
+from .steady import _cho_solve, _cholesky
 
 __all__ = [
     "SINK_NODE",
@@ -51,27 +54,6 @@ _SPREADER_PREFIX = "__sp__"
 def spreader_node(block_name: str) -> str:
     """Name of the spreader cell under *block_name*."""
     return _SPREADER_PREFIX + block_name
-
-
-def _exposed_boundary_mm(
-    floorplan: Floorplan,
-    name: str,
-    adjacency: Optional[Mapping[Tuple[str, str], float]] = None,
-) -> float:
-    """Block perimeter not shared with any other block (mm).
-
-    Pass a precomputed ``floorplan.adjacency()`` to amortise the O(n²)
-    pair scan across the per-block calls of one network build.
-    """
-    block = floorplan.block(name)
-    perimeter = 2.0 * (block.rect.w + block.rect.h)
-    if adjacency is None:
-        adjacency = floorplan.adjacency()
-    shared = 0.0
-    for (a, b), contact in adjacency.items():
-        if name in (a, b):
-            shared += contact
-    return max(0.0, perimeter - shared)
 
 
 #: Contact-length threshold below which blocks do not couple laterally;
@@ -141,43 +123,59 @@ def _edge_conductances(
     """
     edges: Dict[Tuple[str, str], float] = {}
     adjacency = floorplan.adjacency()
+    blocks = floorplan.blocks()
+    cells = {block.name: spreader_node(block.name) for block in blocks}
 
     def add(name_a: str, name_b: str, conductance: float) -> None:
         key = (name_a, name_b) if name_a < name_b else (name_b, name_a)
         edges[key] = edges.get(key, 0.0) + conductance
 
     # vertical paths: block -> its spreader cell -> sink
-    for block in floorplan:
+    for block in blocks:
         vertical, cell_to_sink = _vertical_conductances(block.area, package)
-        add(block.name, spreader_node(block.name), vertical)
-        add(spreader_node(block.name), SINK_NODE, cell_to_sink)
+        add(block.name, cells[block.name], vertical)
+        add(cells[block.name], SINK_NODE, cell_to_sink)
 
     # periphery paths: boundary cells spread outward through the copper
-    # overhang toward the sink; conductance scales with exposed boundary
+    # overhang toward the sink; conductance scales with the exposed
+    # boundary, the perimeter not shared with any other block
+    shared = dict.fromkeys(cells, 0.0)
+    for (name_a, name_b), contact in adjacency.items():
+        shared[name_a] += contact
+        shared[name_b] += contact
     overhang_m = _overhang_m(floorplan, package)
-    for block in floorplan:
+    for block in blocks:
+        perimeter = 2.0 * (block.rect.w + block.rect.h)
         conductance = _periphery_conductance(
-            _exposed_boundary_mm(floorplan, block.name, adjacency),
-            package,
-            overhang_m,
+            max(0.0, perimeter - shared[block.name]), package, overhang_m
         )
         if conductance <= 0.0:
             continue
-        add(spreader_node(block.name), SINK_NODE, conductance)
+        add(cells[block.name], SINK_NODE, conductance)
 
     # lateral paths: silicon between abutting blocks, copper between their
     # spreader cells
+    rects = {block.name: block.rect for block in blocks}
     for (name_a, name_b), shared_mm in adjacency.items():
         silicon, copper = _lateral_conductances(
-            floorplan.block(name_a).rect,
-            floorplan.block(name_b).rect,
-            shared_mm,
-            package,
+            rects[name_a], rects[name_b], shared_mm, package
         )
         add(name_a, name_b, silicon)
-        add(spreader_node(name_a), spreader_node(name_b), copper)
+        add(cells[name_a], cells[name_b], copper)
 
     return edges
+
+
+def _check_floorplan(floorplan: Floorplan) -> None:
+    """Non-empty, no reserved block names, overlap-free."""
+    if len(floorplan) == 0:
+        raise ThermalError("cannot build a thermal model for an empty floorplan")
+    for block in floorplan:
+        if block.name == SINK_NODE or block.name.startswith(_SPREADER_PREFIX):
+            raise ThermalError(
+                f"floorplan uses reserved block name {block.name!r}"
+            )
+    floorplan.validate()
 
 
 def build_block_network(
@@ -190,15 +188,8 @@ def build_block_network(
     called here).  Block names become silicon node names; per-block spreader
     cells and the :data:`SINK_NODE` are appended.
     """
-    if len(floorplan) == 0:
-        raise ThermalError("cannot build a thermal model for an empty floorplan")
+    _check_floorplan(floorplan)
     package = package or default_package()
-    for block in floorplan:
-        if block.name == SINK_NODE or block.name.startswith(_SPREADER_PREFIX):
-            raise ThermalError(
-                f"floorplan uses reserved block name {block.name!r}"
-            )
-    floorplan.validate()
     network = ThermalNetwork(package.ambient_c)
 
     total_area_m2 = mm2_to_m2(floorplan.block_area)
@@ -436,3 +427,71 @@ def block_power_vector(
         if name == SINK_NODE or name.startswith(_SPREADER_PREFIX):
             raise ThermalError(f"cannot inject power into package node {name!r}")
     return network.power_vector(power_by_block)
+
+
+def _block_conductance(floorplan: Floorplan, package: PackageConfig) -> np.ndarray:
+    """``build_block_network(floorplan, package).conductance_matrix()``,
+    bit for bit, without building the network.
+
+    Node order is the network's: blocks in plan order, their spreader
+    cells, then :data:`SINK_NODE`.  The checks are the network's too:
+    the floorplan's, positive edge conductances, and a grounded sink.
+    """
+    _check_floorplan(floorplan)
+    names = floorplan.block_names()
+    count = len(names)
+    index = {name: slot for slot, name in enumerate(names)}
+    for slot, name in enumerate(names):
+        index[spreader_node(name)] = count + slot
+    index[SINK_NODE] = 2 * count
+    edges = []
+    for (name_a, name_b), conductance in _edge_conductances(floorplan, package).items():
+        if conductance <= 0.0:
+            raise ThermalError(
+                f"conductance {name_a!r}-{name_b!r} must be positive, "
+                f"got {conductance}"
+            )
+        ia, ib = index[name_a], index[name_b]
+        edges.append(((ia, ib) if ia < ib else (ib, ia), conductance))
+    ambient = [0.0] * (2 * count + 1)
+    ambient[-1] = 1.0 / package.convection_resistance
+    if not ambient[-1] > 0.0:
+        raise SingularNetworkError(
+            "thermal network has no path to ambient; steady state undefined"
+        )
+    return _assemble_conductance(2 * count + 1, edges, ambient)
+
+
+def _plan_peak(
+    floorplan: Floorplan, package: PackageConfig
+) -> Callable[[Mapping[str, float]], float]:
+    """``HotSpotModel(floorplan, package).peak_temperature``, bit for bit,
+    from one Cholesky factor and no network, solver or model object.
+
+    For a caller that asks only for peaks of many plans (the floorplan
+    GA's thermal objective).  Every check of the model is kept: the
+    network's (see :func:`_block_conductance`), a finite SPD matrix, and
+    known blocks with finite, non-negative powers.
+    """
+    factor = _cholesky(_block_conductance(floorplan, package))
+    names = floorplan.block_names()
+    count = len(names)
+    slots = {name: slot for slot, name in enumerate(names)}
+    size = 2 * count + 1
+    ambient_c = float(package.ambient_c)
+
+    def peak(power_by_block: Mapping[str, float]) -> float:
+        for name in power_by_block:
+            if name not in slots:
+                raise ThermalError(
+                    f"power given for unknown block {name!r}; "
+                    f"known blocks: {names}"
+                )
+        power = np.zeros(size)
+        for name, watts in power_by_block.items():
+            power[slots[name]] = _source_power(name, watts)
+        # a + r rounds monotonically in r, so adding the ambient to the
+        # hottest rise gives the model's max(ambient + rise) bit for bit
+        return ambient_c + max(_cho_solve(factor, power)[:count].tolist())
+
+    return peak

@@ -27,7 +27,7 @@ from ..floorplan.geometry import Floorplan
 from ..units import MM, mm2_to_m2
 from .blockmodel import SINK_NODE
 from .materials import COPPER
-from .network import ThermalNetwork
+from .network import ThermalNetwork, _source_power
 from .package import PackageConfig, default_package
 from .query import ThermalQueryEngine
 from .steady import SteadyStateSolver
@@ -283,9 +283,7 @@ class GridModel:
         vector = np.zeros(len(self._block_order), dtype=float)
         for name, power in power_by_block.items():
             self.floorplan.block(name)  # raises on unknown block
-            if power < 0.0:
-                raise ThermalError(f"negative power on block {name!r}: {power}")
-            vector[self._block_index[name]] = float(power)
+            vector[self._block_index[name]] = _source_power(name, power)
         return vector
 
     def _node_power_vector(self, block_powers: np.ndarray) -> np.ndarray:

@@ -183,7 +183,7 @@ class HotSpotModel:
         path fall back to it on near-ties without changing any decision.
         """
         self._check_blocks(power_by_block)
-        rise = self._solver.solve_rise(self.network.power_vector(power_by_block))
+        rise = self._solver._rise(self.network.power_vector(power_by_block))
         ambient = self.network.ambient_c
         self._queries += 1
         return [ambient + rise[index] for index in self._block_indices]

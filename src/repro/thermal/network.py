@@ -16,6 +16,7 @@ top of this class.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -122,19 +123,11 @@ class ThermalNetwork:
     # ------------------------------------------------------------------
     def conductance_matrix(self) -> np.ndarray:
         """The symmetric ``G`` matrix (W/K), cached until mutation."""
-        if self._matrix_cache is not None:
-            return self._matrix_cache
-        size = len(self._nodes)
-        matrix = np.zeros((size, size), dtype=float)
-        for (ia, ib), conductance in self._edges.items():
-            matrix[ia, ia] += conductance
-            matrix[ib, ib] += conductance
-            matrix[ia, ib] -= conductance
-            matrix[ib, ia] -= conductance
-        for index, conductance in enumerate(self._ambient_conductance):
-            matrix[index, index] += conductance
-        self._matrix_cache = matrix
-        return matrix
+        if self._matrix_cache is None:
+            self._matrix_cache = _assemble_conductance(
+                len(self._nodes), self._edges.items(), self._ambient_conductance
+            )
+        return self._matrix_cache
 
     def capacitance_vector(self) -> np.ndarray:
         """The diagonal ``C`` vector (J/K)."""
@@ -143,14 +136,13 @@ class ThermalNetwork:
     def power_vector(self, power_by_node: Mapping[str, float]) -> np.ndarray:
         """Assemble a power vector from a (possibly partial) node->W map.
 
-        Unnamed nodes get zero power; unknown names raise.
-        Negative powers are rejected (heat sources only).
+        Unnamed nodes get zero power; unknown names raise.  Only finite,
+        non-negative powers are accepted (heat sources only), so a vector
+        assembled here needs no finiteness scan before a solve.
         """
         vector = np.zeros(len(self._nodes), dtype=float)
         for name, power in power_by_node.items():
-            if power < 0.0:
-                raise ThermalError(f"negative power on node {name!r}: {power}")
-            vector[self.index(name)] = float(power)
+            vector[self.index(name)] = _source_power(name, power)
         return vector
 
     def check_grounded(self) -> None:
@@ -159,3 +151,44 @@ class ThermalNetwork:
             raise SingularNetworkError(
                 "thermal network has no path to ambient; steady state undefined"
             )
+
+
+def _assemble_conductance(
+    size: int,
+    edges: Iterable[Tuple[Tuple[int, int], float]],
+    ambient: Sequence[float],
+) -> np.ndarray:
+    """The symmetric ``G`` matrix (W/K) of *size* nodes.
+
+    *edges* yields ``((ia, ib), conductance)`` once per connected pair
+    (``ia != ib``); *ambient* holds each node's conductance to ambient.
+    A diagonal entry sums its node's edges in iteration order, then its
+    ambient term; an off-diagonal entry is its edge's negated conductance.
+    Every G in the package is assembled here, so two networks given the
+    same edges in the same order get bit-identical matrices.
+    """
+    diagonal = [0.0] * size
+    offsets: List[int] = []  # flat (row-major) positions of the off-diagonals
+    values: List[float] = []
+    for (ia, ib), conductance in edges:
+        diagonal[ia] += conductance
+        diagonal[ib] += conductance
+        offsets += (ia * size + ib, ib * size + ia)
+        values += (-conductance, -conductance)
+    for index, conductance in enumerate(ambient):
+        diagonal[index] += conductance
+    matrix = np.zeros((size, size), dtype=float)
+    flat = matrix.ravel()  # a view: the matrix is contiguous
+    flat[offsets] = values
+    flat[:: size + 1] = diagonal
+    return matrix
+
+
+def _source_power(name: str, power: float) -> float:
+    """*power* as a float, rejecting negative and non-finite heat sources."""
+    if power < 0.0:
+        raise ThermalError(f"negative power on node {name!r}: {power}")
+    value = float(power)
+    if not math.isfinite(value):
+        raise ThermalError(f"non-finite power on node {name!r}: {power}")
+    return value

@@ -37,6 +37,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ThermalError
+from .network import _source_power
 
 __all__ = ["ThermalQueryEngine", "ScheduledThermalQuery"]
 
@@ -204,14 +205,12 @@ class ThermalQueryEngine:
     def power_vector(self, power_by_block: Mapping[str, float]) -> np.ndarray:
         """Block-power vector from a (possibly partial) block->W map.
 
-        Unknown names and negative powers raise, matching the network's
-        power-vector contract.
+        Unknown names and negative or non-finite powers raise, matching
+        the network's power-vector contract.
         """
         vector = np.zeros(len(self.block_names), dtype=float)
         for name, power in power_by_block.items():
-            if power < 0.0:
-                raise ThermalError(f"negative power on node {name!r}: {power}")
-            vector[self.block_index(name)] = float(power)
+            vector[self.block_index(name)] = _source_power(name, power)
         return vector
 
     # ------------------------------------------------------------------

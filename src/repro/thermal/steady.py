@@ -30,6 +30,33 @@ __all__ = ["LowRankUpdate", "SteadyStateSolver"]
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((0, 0)),))
 
 
+def _cholesky(matrix: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of a conductance matrix (*matrix* is kept).
+
+    Raises ``ValueError`` on a non-finite matrix and
+    :class:`~repro.errors.SingularNetworkError` when it is not SPD.
+    """
+    factor, info = _POTRF(
+        np.asarray_chkfinite(matrix), lower=False, overwrite_a=False, clean=False
+    )
+    if info > 0:
+        raise SingularNetworkError(
+            f"conductance matrix is not SPD: {info}-th leading minor of "
+            f"the array is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of potrf")
+    return factor
+
+
+def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``G⁻¹ rhs`` against an upper Cholesky *factor* of G (*rhs* is kept)."""
+    solution, info = _POTRS(factor, rhs, lower=False, overwrite_b=False)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return solution
+
+
 @dataclass(frozen=True)
 class LowRankUpdate:
     """A Woodbury correction to a factorised conductance matrix.
@@ -75,16 +102,7 @@ class SteadyStateSolver:
     def __init__(self, network: ThermalNetwork):
         network.check_grounded()
         self.network = network
-        matrix = np.asarray_chkfinite(network.conductance_matrix())
-        factor, info = _POTRF(matrix, lower=False, overwrite_a=False, clean=False)
-        if info > 0:
-            raise SingularNetworkError(
-                f"conductance matrix is not SPD: {info}-th leading minor of "
-                f"the array is not positive definite"
-            )
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of potrf")
-        self._factor = factor
+        self._factor = _cholesky(network.conductance_matrix())
         self.solve_count = 0
 
     def fork(self) -> "SteadyStateSolver":
@@ -101,14 +119,22 @@ class SteadyStateSolver:
         return clone
 
     def solve_rise(self, power: np.ndarray) -> np.ndarray:
-        """Temperature **rise** over ambient for a raw power vector."""
+        """Temperature **rise** over ambient for a raw power vector.
+
+        Raises ``ValueError`` on a non-finite vector, as ``cho_solve`` does.
+        """
         if power.shape != (len(self.network),):
             raise ThermalError(
                 f"power vector has shape {power.shape}, expected "
                 f"({len(self.network)},)"
             )
+        return self._rise(np.asarray_chkfinite(power))
+
+    def _rise(self, power: np.ndarray) -> np.ndarray:
+        """:meth:`solve_rise` for a vector :meth:`ThermalNetwork.power_vector`
+        assembled (right shape, finite by construction): no re-checks."""
         self.solve_count += 1
-        return self._backsolve(power)
+        return _cho_solve(self._factor, power)
 
     def solve_rise_many(self, powers: np.ndarray) -> np.ndarray:
         """Temperature rises for a 2-D power matrix, one backsolve call.
@@ -116,7 +142,8 @@ class SteadyStateSolver:
         ``powers`` is ``(n_nodes, k)`` — one power vector per column; the
         result has the same shape.  A multi-RHS backsolve amortises the
         factor traversal over all columns, which is what makes batched
-        block queries and influence-vector precomputation cheap.
+        block queries and influence-vector precomputation cheap.  Raises
+        ``ValueError`` on a non-finite matrix.
         """
         powers = np.asarray(powers, dtype=float)
         if powers.ndim != 2 or powers.shape[0] != len(self.network):
@@ -125,19 +152,7 @@ class SteadyStateSolver:
                 f"({len(self.network)}, k)"
             )
         self.solve_count += powers.shape[1]
-        return self._backsolve(powers)
-
-    def _backsolve(self, rhs: np.ndarray) -> np.ndarray:
-        """``G⁻¹ rhs`` against the cached factor (*rhs* is not modified).
-
-        Raises ``ValueError`` on a non-finite *rhs*, as ``cho_solve`` does.
-        """
-        solution, info = _POTRS(
-            self._factor, np.asarray_chkfinite(rhs), lower=False, overwrite_b=False
-        )
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of potrs")
-        return solution
+        return _cho_solve(self._factor, np.asarray_chkfinite(powers))
 
     def low_rank_update(
         self,
@@ -223,7 +238,7 @@ class SteadyStateSolver:
 
     def temperatures(self, power_by_node: Mapping[str, float]) -> Dict[str, float]:
         """Absolute temperatures (°C) for a node->W power map."""
-        rise = self.solve_rise(self.network.power_vector(power_by_node))
+        rise = self._rise(self.network.power_vector(power_by_node))
         ambient = self.network.ambient_c
         return {
             name: ambient + rise[index]

@@ -1,5 +1,6 @@
-"""Co-synthesis floorplan memos: one area GA per allocation, one HotSpot
-build per distinct plan, and neither outliving one ``run`` call."""
+"""Co-synthesis floorplan memos: one area GA per allocation, one
+peak-temperature factorisation per distinct plan, and neither outliving
+one ``run`` call."""
 
 import pytest
 
@@ -91,18 +92,23 @@ class TestFloorplanCounts:
         assert len(kept) >= 2 * SMALL.screening_keep
         assert sorted(evolved) == sorted(multi_pe(kept))
 
-    def test_thermal_ga_builds_one_model_per_distinct_plan(self, monkeypatch, recorded):
+    def test_thermal_ga_factorises_once_per_distinct_plan(self, monkeypatch, recorded):
         kept, evolved = recorded
-        builds = []
+        models, factorisations = [], []
         inside_ga = [False]
         real_model = framework.HotSpotModel
+        real_peak = framework._plan_peak
         traced_evolve = framework.evolve_floorplan
 
         class CountingModel(real_model):
             def __init__(self, plan, package=None):
-                key = tuple((block.name, block.rect) for block in plan)
-                builds.append((inside_ga[0], key))
+                models.append(inside_ga[0])
                 super().__init__(plan, package)
+
+        def plan_peak(plan, package):
+            key = tuple((block.name, block.rect) for block in plan)
+            factorisations.append((inside_ga[0], key))
+            return real_peak(plan, package)
 
         def evolve(*args, **kwargs):
             inside_ga[0] = True
@@ -112,14 +118,25 @@ class TestFloorplanCounts:
                 inside_ga[0] = False
 
         monkeypatch.setattr(framework, "HotSpotModel", CountingModel)
+        monkeypatch.setattr(framework, "_plan_peak", plan_peak)
         monkeypatch.setattr(framework, "evolve_floorplan", evolve)
-        result = run(CoSynthesisFramework(config=SMALL), ThermalPolicy())
-        ga_builds = [key for inside, key in builds if inside]
+        fw = CoSynthesisFramework(config=SMALL)
+        result = run(fw, ThermalPolicy())
         assert len(evolved) > 1
-        assert ga_builds and len(ga_builds) == len(set(ga_builds))
+        # the GA's thermal objective builds no HotSpot model at all ...
+        assert not any(models)
+        # ... and factorises each distinct plan once, reusing it across GA calls
+        keys = [key for inside, key in factorisations]
+        assert all(inside for inside, _ in factorisations)
+        assert keys and len(keys) == len(set(keys))
         # phase 2 still builds a fresh model per scheduler run
-        assert sum(not inside for inside, _ in builds) == len(kept)
+        assert len(models) == len(kept)
         assert result.hotspot_queries > 0
+        # the memo is one run's: a second run factorises the same plans again
+        first = list(keys)
+        factorisations.clear()
+        assert snapshot(run(fw, ThermalPolicy())) == snapshot(result)
+        assert [key for _, key in factorisations] == first
 
 
 class TestEvolveSpan:

@@ -46,6 +46,11 @@ class TestPowerMapping:
         with pytest.raises(Exception):
             grid.cell_powers({"ghost": 1.0})
 
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+    def test_non_physical_power_rejected(self, grid, value):
+        with pytest.raises(ThermalError, match="power on node 'right'"):
+            grid.block_temperatures({"left": 1.0, "right": value})
+
 
 class TestTemperatures:
     def test_loaded_side_hotter(self, grid):

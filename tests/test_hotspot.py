@@ -1,5 +1,8 @@
 """Tests for the HotSpotModel facade."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.errors import ThermalError
@@ -50,6 +53,33 @@ class TestSteadyQueries:
         concentrated = model.peak_temperature({"pe1": 12.0})
         balanced = model.peak_temperature({pe: 3.0 for pe in model.block_names})
         assert balanced < concentrated
+
+
+class TestNonFinitePower:
+    """NaN and inf are refused where the power vector is assembled, naming
+    the block, before any solve."""
+
+    QUERIES = {
+        "block_temperatures": lambda model, powers: model.block_temperatures(powers),
+        "temperatures": lambda model, powers: model.temperatures(powers),
+        "peak_temperature": lambda model, powers: model.peak_temperature(powers),
+        "transient": lambda model, powers: model.transient([(1.0, powers)], dt=0.5),
+    }
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, np.float64("nan")])
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_rejected_with_thermal_error(self, model, query, value):
+        with pytest.raises(ThermalError, match="non-finite power on node 'pe1'"):
+            self.QUERIES[query](model, {"pe0": 1.0, "pe1": value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejected_by_the_query_engine_too(self, model, value):
+        with pytest.raises(ThermalError, match="non-finite power on node 'pe1'"):
+            model.block_power_vector({"pe1": value})
+
+    def test_negative_infinity_is_a_negative_power(self, model):
+        with pytest.raises(ThermalError, match="negative power on node 'pe0'"):
+            model.block_temperatures({"pe0": -math.inf})
 
 
 class TestTransientQueries:
