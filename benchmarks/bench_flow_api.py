@@ -6,7 +6,9 @@ Two contracts guard the flow API's performance story:
   composing ``HotSpotModel`` → ``ListScheduler.run`` → ``evaluate_schedule``
   directly on a pre-built workload.  The facade adds spec hashing,
   registry lookups and workload memoisation; none of that may cost real
-  time against the scheduler + HotSpot inner loop.
+  time against the scheduler + HotSpot inner loop.  The two sides run
+  in interleaved pairs and the gate reads the median per-pair ratio, so
+  host drift during the measurement is not read as overhead.
 * **run_many scaling** — the 8-spec ablation sweep (Bm1–Bm4 x
   {heuristic3, thermal}) through ``workers=4`` must beat serial ≥ 2x on
   multi-core hosts; on any host a warm cache must beat recomputation
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 
 import pytest
@@ -39,17 +42,25 @@ from repro.flow import Flow, platform_spec, run_many
 
 from conftest import platform_cold_flow, print_report
 
-#: Repetitions for the overhead measurement (platform flow is ~10 ms).
-REPEATS = 20
+#: Interleaved pairs for the overhead measurement (platform flow is ~10 ms).
+PAIRS = 20
 
 
-def _time(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
+def _paired_times(first, second, pairs: int):
+    """``[(first_s, second_s), ...]``: each pair runs both back to back.
+
+    The side that runs first alternates from pair to pair, so neither
+    side is always the one that follows the other.
+    """
+    times = []
+    for index in range(pairs):
+        pair = [0.0, 0.0]
+        for side in ((0, 1) if index % 2 == 0 else (1, 0)):
+            started = time.perf_counter()
+            (first, second)[side]()
+            pair[side] = time.perf_counter() - started
+        times.append(tuple(pair))
+    return times
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +80,10 @@ def measurements():
         )
         return evaluate_schedule(schedule, hotspot=hotspot)
 
-    direct = _time(direct_platform, REPEATS)
-    facade = _time(lambda: flow.run(spec), REPEATS)
+    pairs = _paired_times(direct_platform, lambda: flow.run(spec), PAIRS)
+    direct = min(d for d, _ in pairs)
+    facade = min(f for _, f in pairs)
+    ratio = statistics.median(f / d for d, f in pairs)
 
     sweep = [
         platform_spec(bench, policy=policy)
@@ -101,7 +114,8 @@ def measurements():
     data = {
         "direct_platform_flow_s": round(direct, 6),
         "facade_flow_run_s": round(facade, 6),
-        "facade_overhead_fraction": round(facade / direct - 1.0, 4),
+        "facade_overhead_fraction": round(ratio - 1.0, 4),
+        "facade_overhead_pairs": PAIRS,
         "sweep_specs": len(sweep),
         "sweep_serial_s": round(serial_s, 4),
         "sweep_workers4_s": round(pool_s, 4),

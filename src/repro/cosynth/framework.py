@@ -19,11 +19,11 @@ the requirement is met.  Our realisation (see DESIGN.md "Substitutions"):
    changing or the iteration budget is exhausted.  Each ``run`` call asks
    each floorplan question once: the area-objective GA ignores the powers,
    so it runs once per allocation and later iterations and backoff steps
-   reuse its plan; the thermal objective factorises each distinct placed
-   plan's G matrix once and reuses that factor across GA calls, building
-   no HotSpot model (see :func:`~repro.thermal.blockmodel._plan_peak`).
-   Both memos are locals of ``run``; the re-scheduling model and the
-   final evaluation's are always full, fresh HotSpot builds;
+   reuse its plan; and each distinct placed plan gets one
+   :class:`~repro.thermal.hotspot.HotSpotModel`, which the thermal GA
+   objective queries and whose :meth:`~repro.thermal.hotspot.HotSpotModel.fork`
+   serves every re-scheduling run and the final evaluation of that plan.
+   Both memos are locals of ``run``;
 4. pick the allocation minimising the final cost (temperatures for the
    thermal flow, power for the power-aware flow).
 
@@ -51,7 +51,6 @@ from ..library.presets import default_catalogue
 from ..library.technology import TechnologyLibrary
 from ..obs import get_recorder
 from ..taskgraph.graph import TaskGraph
-from ..thermal.blockmodel import _plan_peak
 from ..thermal.hotspot import HotSpotModel
 from ..thermal.package import PackageConfig, default_package
 from .allocation import feasible_allocations
@@ -62,10 +61,6 @@ __all__ = [
     "CoSynthesisResult",
     "CoSynthesisFramework",
 ]
-
-#: A placed plan's peak block temperature (°C) as a function of block powers.
-PeakFn = Callable[[Mapping[str, float]], float]
-
 
 @dataclass(frozen=True)
 class CoSynthesisConfig:
@@ -142,19 +137,14 @@ class CoSynthesisFramework:
         powers: Optional[Mapping[str, float]],
         thermal: bool,
         area_plans: Dict[tuple, Floorplan],
-        peaks: Dict[tuple, PeakFn],
+        model_for: Callable[[Floorplan], HotSpotModel],
     ) -> Floorplan:
         """Floorplan one allocation (GA; thermal objective when requested).
 
-        *area_plans* and *peaks* are one :meth:`run` call's memos.  An
+        *area_plans* and *model_for* are one :meth:`run` call's memos.  An
         area-objective GA ignores the powers, so its plan is stored per
         architecture (PE names and dims, in order).  The thermal objective
-        asks only for peak temperatures, so it factorises each distinct
-        placed plan (block names and rects, in order — the node order
-        follows it) once, through the plan→peak kernel
-        :func:`~repro.thermal.blockmodel._plan_peak`, and reuses the
-        factor across GA calls: the solve ``HotSpotModel.peak_temperature``
-        makes, on the same factor, to the same bits, without the model.
+        asks each placed plan's model for its peak temperature.
         """
         if len(architecture) == 1:
             return platform_floorplan(architecture)
@@ -166,15 +156,10 @@ class CoSynthesisFramework:
             if key not in area_plans:
                 area_plans[key] = self._evolve(architecture, area_objective())
             return area_plans[key]
-        package = self.package
         power_map = dict(powers)
 
         def peak_temp(plan: Floorplan) -> float:
-            key = tuple((block.name, block.rect) for block in plan)
-            peak = peaks.get(key)
-            if peak is None:
-                peak = peaks[key] = _plan_peak(plan, package)
-            return peak(power_map)
+            return model_for(plan).peak_temperature(power_map)
 
         return self._evolve(architecture, thermal_objective(peak_temp))
 
@@ -238,7 +223,16 @@ class CoSynthesisFramework:
         total_queries = 0
         # floorplan memos, dropped when this call returns (see _floorplan)
         area_plans: Dict[tuple, Floorplan] = {}
-        peaks: Dict[tuple, PeakFn] = {}
+        models: Dict[tuple, HotSpotModel] = {}
+
+        def model_for(plan: Floorplan) -> HotSpotModel:
+            # block names and rects, in order: the node order follows them
+            key = tuple((block.name, block.rect) for block in plan)
+            model = models.get(key)
+            if model is None:
+                model = models[key] = HotSpotModel(plan, self.package)
+            return model
+
         with get_recorder().span("cosynth.refine", candidates=len(kept)):
             for rank_index, (_, _, architecture, schedule) in enumerate(kept):
                 floorplan = None
@@ -257,9 +251,9 @@ class CoSynthesisFramework:
                             thermal=config.thermal_floorplanning
                             and policy.requires_thermal,
                             area_plans=area_plans,
-                            peaks=peaks,
+                            model_for=model_for,
                         )
-                        hotspot = HotSpotModel(floorplan, self.package)
+                        hotspot = model_for(floorplan).fork()
                         scheduler = ListScheduler(
                             graph, architecture, library, thermal=hotspot
                         )
@@ -270,7 +264,7 @@ class CoSynthesisFramework:
                     reduced = run_policy.weight / 2.0 if backoff < 2 else 0.0
                     run_policy = type(run_policy)(reduced)
                 evaluation = evaluate_schedule(
-                    schedule, floorplan=floorplan, package=self.package
+                    schedule, hotspot=model_for(floorplan).fork()
                 )
                 cost = final_cost(evaluation)
                 result = CoSynthesisResult(

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..errors import FloorplanError, SlicingError
 from ..library.pe import Architecture
 from ..rng import SeedLike, as_random
+from .genetic import _dims_of
 from .geometry import Floorplan
 from .objectives import FloorplanObjective, area_objective
 from .slicing import PolishExpression
@@ -70,13 +71,6 @@ class AnnealingResult:
     def die_area(self) -> float:
         """Area of the resulting die (mm²)."""
         return self.floorplan.die_area
-
-
-def _dims_of(architecture: Architecture) -> Dict[str, Tuple[float, float]]:
-    return {
-        pe.name: (pe.pe_type.width_mm, pe.pe_type.height_mm)
-        for pe in architecture
-    }
 
 
 def anneal_floorplan(

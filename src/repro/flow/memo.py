@@ -13,7 +13,7 @@ keys on **sub-spec content hashes**:
 * :func:`floorplan_subspec_hash` — architecture + floorplan + catalogue;
 * :func:`solver_subspec_hash` — the thermal solver knobs;
 * :func:`platform_cache_key` — floorplan hash + solver hash; keys the
-  prebuilt thermal platform bundle.
+  built thermal model.
 
 Hashes are SHA-256 prefixes of canonical (sorted-key) JSON of the
 sub-spec dicts — the same construction as
@@ -21,11 +21,13 @@ sub-spec dicts — the same construction as
 and pinnable in tests (tests/test_serve.py pins literals).
 
 Entries live in two :class:`~repro.caching.LRUCache` maps bounded by
-count and bytes.  Every platform request returns a fresh lease: its own
-architecture and floorplan copy, and fresh-counter forks of the shared
-immutable thermal state (see :meth:`HotSpotModel.from_prebuilt
-<repro.thermal.HotSpotModel.from_prebuilt>`), so concurrent callers
-never share mutable objects.  Graph kinds in
+count and bytes.  A stored platform is one built
+:class:`~repro.thermal.hotspot.HotSpotModel` (query engine included)
+over its own floorplan copy.  Every platform request returns a fresh
+lease: its own architecture, a floorplan copy, and a
+:meth:`~repro.thermal.hotspot.HotSpotModel.fork` of the stored model —
+the shared network, factor and engine with fresh query counters — so
+concurrent callers never share mutable objects.  Graph kinds in
 :data:`~repro.flow.spec.UNCACHEABLE_GRAPH_KINDS`, and platforms whose
 floorplanner or thermal solver is not a built-in factory (registered
 factories, solvers other than HotSpot), are built fresh on every request
@@ -62,7 +64,6 @@ __all__ = [
     "DEFAULT_MAX_ENTRIES",
     "EngineCache",
     "PROCESS_MEMO",
-    "PlatformBundle",
     "PrebuiltPlatform",
     "subspec_hash",
     "floorplan_subspec_hash",
@@ -150,8 +151,7 @@ def workload_cache_key(spec: FlowSpec) -> str:
 
 
 #: The factories a stored platform may come from: the built-in
-#: floorplanners and the HotSpot solver (the one with extractable
-#: prebuilt state).  Checked by identity, so a name unregistered and
+#: floorplanners and the HotSpot solver (the one whose model forks).  Checked by identity, so a name unregistered and
 #: registered again with another factory builds fresh.
 _STORABLE_FLOORPLANNERS = {
     kind: FLOORPLANNERS.get(kind)
@@ -196,7 +196,7 @@ class PrebuiltPlatform:
 
     The architecture, the laid-out floorplan, and a thermal model whose
     network/factorisation/query engine are already constructed (see
-    :meth:`repro.thermal.HotSpotModel.from_prebuilt`).  Every lease is
+    :meth:`repro.thermal.HotSpotModel.fork`).  Every lease is
     private: the architecture and floorplan are its own objects, and the
     thermal model's query counters start at zero so a result's
     diagnostics describe its run only.  ``bypassed`` marks a platform
@@ -209,32 +209,11 @@ class PrebuiltPlatform:
     bypassed: bool = False
 
 
-@dataclass
-class PlatformBundle:
-    """The shareable, immutable parts of one prebuilt thermal platform.
-
-    What :meth:`HotSpotModel.prebuilt_state` extracts, plus the
-    floorplan/package it was built over.  Leases copy the floorplan and
-    fork fresh counters; the bundle itself is never handed out.
-    """
-
-    floorplan: Any
-    package: Any
-    network: Any
-    solver: Any
-    engine: Any
-
-
-def _bundle_nbytes(bundle: PlatformBundle) -> int:
-    """Rough resident size of a platform bundle (the dense arrays)."""
-    total = 0
-    for array in (
-        getattr(bundle.engine, "response", None),
-        getattr(bundle.engine, "avg_sensitivity", None),
-    ):
-        total += getattr(array, "nbytes", 0)
-    total += getattr(getattr(bundle.solver, "_factor", None), "nbytes", 0)
-    return total or 4096
+def _model_nbytes(model: HotSpotModel) -> int:
+    """Rough resident size of a stored thermal model (the dense arrays)."""
+    engine = model.query_engine()
+    factor = 8 * len(model.network) ** 2
+    return engine.response.nbytes + engine.avg_sensitivity.nbytes + factor
 
 
 def _workload_nbytes(graph: Any, library: Any) -> int:
@@ -324,38 +303,32 @@ class EngineCache:
             and solver is _STORABLE_SOLVER
         )
         key = platform_cache_key(spec) if storable else None
-        bundle = self.platforms.get(key) if storable else None
-        cached = bundle is not None
+        stored = self.platforms.get(key) if storable else None
+        cached = stored is not None
         with rec.span("flow.floorplan", cached=cached):
             # the architecture object is rebuilt per lease: it is cheap
             # (catalogue lookups) and schedulers receive a private instance
             architecture = _build_architecture(spec)
-            if bundle is None:
+            if stored is None:
                 floorplan = floorplanner(architecture, floorplan_spec)
             else:
-                floorplan = Floorplan(bundle.floorplan)
+                floorplan = Floorplan(stored.floorplan)
         with rec.span("flow.thermal_build", solver=spec.thermal.solver, cached=cached):
-            if bundle is None:
+            if stored is None:
                 package = _build_package(spec)
-                model = solver(floorplan, package, spec.thermal)
                 if not storable:
                     with self._lock:
                         self.platform_bypasses += 1
+                    model = solver(floorplan, package, spec.thermal)
                     return PrebuiltPlatform(
                         architecture, floorplan, model, bypassed=True
                     )
-                # the bundle keeps its own floorplan copy: leases may mutate theirs
-                bundle = PlatformBundle(
-                    Floorplan(floorplan), package, *model.prebuilt_state()
-                )
-                self.platforms.put(key, bundle, size=_bundle_nbytes(bundle))
-            model = HotSpotModel.from_prebuilt(
-                floorplan,
-                bundle.package,
-                bundle.network,
-                bundle.solver,
-                bundle.engine,
-            )
+                # the stored model keeps its own floorplan copy: leases
+                # may mutate theirs
+                stored = solver(Floorplan(floorplan), package, spec.thermal)
+                stored.query_engine()  # built once, shared by every lease
+                self.platforms.put(key, stored, size=_model_nbytes(stored))
+            model = stored.fork(floorplan)
         return PrebuiltPlatform(architecture, floorplan, model)
 
     # -- introspection -------------------------------------------------

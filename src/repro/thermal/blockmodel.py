@@ -24,17 +24,14 @@ following the layer structure of HotSpot's block mode (Skadron et al.):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
-import numpy as np
-
-from ..errors import SingularNetworkError, ThermalError
+from ..errors import ThermalError
 from ..floorplan.geometry import Floorplan
 from ..thermal.materials import COPPER
 from ..units import MM, mm2_to_m2
-from .network import ThermalNetwork, _assemble_conductance, _source_power
+from .network import ThermalNetwork
 from .package import PackageConfig, default_package
-from .steady import _cho_solve, _cholesky
 
 __all__ = [
     "SINK_NODE",
@@ -186,45 +183,54 @@ def build_block_network(
 
     The floorplan must be non-empty and overlap-free (``validate()`` is
     called here).  Block names become silicon node names; per-block spreader
-    cells and the :data:`SINK_NODE` are appended.
+    cells and the :data:`SINK_NODE` are appended.  The network is assembled
+    in one index-keyed pass: every edge conductance must be positive, and
+    the sink must be grounded, as ``ThermalNetwork.connect`` and
+    ``check_grounded`` would require.
     """
     _check_floorplan(floorplan)
     package = package or default_package()
-    network = ThermalNetwork(package.ambient_c)
+    names = floorplan.block_names()
+    nodes = names + [spreader_node(name) for name in names] + [SINK_NODE]
+    index = {name: slot for slot, name in enumerate(nodes)}
 
     total_area_m2 = mm2_to_m2(floorplan.block_area)
     spreader_area_m2 = package.spreader_side_m**2
     spare_spreader_fraction = max(
         0.1, 1.0 - min(1.0, total_area_m2 / spreader_area_m2)
     )
-
-    # silicon nodes
-    for block in floorplan:
-        area_m2 = mm2_to_m2(block.area)
-        network.add_node(block.name, capacitance=package.block_capacitance(area_m2))
-
-    # spreader cells: capacitance proportional to covered area; the spare
-    # copper (periphery) capacitance is lumped into the sink node below
-    for block in floorplan:
-        cell_fraction = mm2_to_m2(block.area) / spreader_area_m2
-        network.add_node(
-            spreader_node(block.name),
-            capacitance=package.spreader_capacitance() * min(1.0, cell_fraction),
-        )
-    network.add_node(
-        SINK_NODE,
-        capacitance=package.sink_capacitance()
-        + package.spreader_capacitance() * spare_spreader_fraction,
-        ambient_conductance=1.0 / package.convection_resistance,
+    # silicon nodes, then spreader cells with capacitance proportional to
+    # covered area; the spare copper (periphery) capacitance is lumped
+    # into the sink node
+    areas_m2 = [mm2_to_m2(block.area) for block in floorplan]
+    capacitance = [package.block_capacitance(area) for area in areas_m2]
+    capacitance += [
+        package.spreader_capacitance() * min(1.0, area / spreader_area_m2)
+        for area in areas_m2
+    ]
+    capacitance.append(
+        package.sink_capacitance()
+        + package.spreader_capacitance() * spare_spreader_fraction
     )
+    ambient = [0.0] * (len(nodes) - 1) + [1.0 / package.convection_resistance]
 
     # conduction edges — vertical, periphery, and lateral terms, assembled
     # geometrically so the same helper can diff two floorplans
+    edges: Dict[Tuple[int, int], float] = {}
     for (name_a, name_b), conductance in _edge_conductances(
         floorplan, package
     ).items():
-        network.connect(name_a, name_b, conductance)
+        if conductance <= 0.0:
+            raise ThermalError(
+                f"conductance {name_a!r}-{name_b!r} must be positive, "
+                f"got {conductance}"
+            )
+        ia, ib = index[name_a], index[name_b]
+        edges[(ia, ib) if ia < ib else (ib, ia)] = conductance
 
+    network = ThermalNetwork._assembled(
+        package.ambient_c, index, capacitance, ambient, edges
+    )
     network.check_grounded()
     return network
 
@@ -427,71 +433,3 @@ def block_power_vector(
         if name == SINK_NODE or name.startswith(_SPREADER_PREFIX):
             raise ThermalError(f"cannot inject power into package node {name!r}")
     return network.power_vector(power_by_block)
-
-
-def _block_conductance(floorplan: Floorplan, package: PackageConfig) -> np.ndarray:
-    """``build_block_network(floorplan, package).conductance_matrix()``,
-    bit for bit, without building the network.
-
-    Node order is the network's: blocks in plan order, their spreader
-    cells, then :data:`SINK_NODE`.  The checks are the network's too:
-    the floorplan's, positive edge conductances, and a grounded sink.
-    """
-    _check_floorplan(floorplan)
-    names = floorplan.block_names()
-    count = len(names)
-    index = {name: slot for slot, name in enumerate(names)}
-    for slot, name in enumerate(names):
-        index[spreader_node(name)] = count + slot
-    index[SINK_NODE] = 2 * count
-    edges = []
-    for (name_a, name_b), conductance in _edge_conductances(floorplan, package).items():
-        if conductance <= 0.0:
-            raise ThermalError(
-                f"conductance {name_a!r}-{name_b!r} must be positive, "
-                f"got {conductance}"
-            )
-        ia, ib = index[name_a], index[name_b]
-        edges.append(((ia, ib) if ia < ib else (ib, ia), conductance))
-    ambient = [0.0] * (2 * count + 1)
-    ambient[-1] = 1.0 / package.convection_resistance
-    if not ambient[-1] > 0.0:
-        raise SingularNetworkError(
-            "thermal network has no path to ambient; steady state undefined"
-        )
-    return _assemble_conductance(2 * count + 1, edges, ambient)
-
-
-def _plan_peak(
-    floorplan: Floorplan, package: PackageConfig
-) -> Callable[[Mapping[str, float]], float]:
-    """``HotSpotModel(floorplan, package).peak_temperature``, bit for bit,
-    from one Cholesky factor and no network, solver or model object.
-
-    For a caller that asks only for peaks of many plans (the floorplan
-    GA's thermal objective).  Every check of the model is kept: the
-    network's (see :func:`_block_conductance`), a finite SPD matrix, and
-    known blocks with finite, non-negative powers.
-    """
-    factor = _cholesky(_block_conductance(floorplan, package))
-    names = floorplan.block_names()
-    count = len(names)
-    slots = {name: slot for slot, name in enumerate(names)}
-    size = 2 * count + 1
-    ambient_c = float(package.ambient_c)
-
-    def peak(power_by_block: Mapping[str, float]) -> float:
-        for name in power_by_block:
-            if name not in slots:
-                raise ThermalError(
-                    f"power given for unknown block {name!r}; "
-                    f"known blocks: {names}"
-                )
-        power = np.zeros(size)
-        for name, watts in power_by_block.items():
-            power[slots[name]] = _source_power(name, watts)
-        # a + r rounds monotonically in r, so adding the ambient to the
-        # hottest rise gives the model's max(ambient + rise) bit for bit
-        return ambient_c + max(_cho_solve(factor, power)[:count].tolist())
-
-    return peak

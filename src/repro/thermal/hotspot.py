@@ -11,7 +11,9 @@ lazily, on the first block-level query) a
 :class:`~repro.thermal.query.ThermalQueryEngine` holding the block-restricted
 influence vectors of ``G⁻¹`` — so block queries are a small matvec and the
 thermal-aware scheduler's per-candidate delta queries are O(1) instead of a
-dense backsolve plus dict churn per candidate.
+dense backsolve plus dict churn per candidate.  :meth:`HotSpotModel.fork`
+is the one way to share that built state: the co-synthesis loop and the
+warm engine cache each build one model per plan and hand out forks.
 """
 
 from __future__ import annotations
@@ -56,63 +58,36 @@ class HotSpotModel:
         self._engine: Optional[ThermalQueryEngine] = None
         self._queries = 0
 
-    # ------------------------------------------------------------------
-    # prebuilt-state extraction / injection (the serving warm path)
-    # ------------------------------------------------------------------
-    def prebuilt_state(self) -> Tuple[object, SteadyStateSolver, ThermalQueryEngine]:
-        """``(network, solver, engine)`` — the expensive immutable parts.
+    def fork(self, floorplan: Optional[Floorplan] = None) -> "HotSpotModel":
+        """A model sharing this one's network, factor and query engine.
 
-        Everything a :meth:`from_prebuilt` model needs to answer queries
-        without re-building the RC network, re-factorising G, or
-        re-deriving the block response matrix.  Forces the engine build
-        so a cached bundle is warm by construction.
+        The shared parts are the expensive, immutable ones; the query
+        engine is built here first if it is not yet, so every fork of a
+        model uses the one engine.  The fork starts with fresh
+        ``query_count`` and ``query_stats``, so a caller (one scheduler
+        run, one served request) reports its own queries only.  It
+        answers for *floorplan* (default: this model's), whose block
+        names must be this model's, in order — a model over other blocks
+        would silently answer for the wrong die.
         """
-        return self.network, self._solver, self.query_engine()
-
-    @classmethod
-    def from_prebuilt(
-        cls,
-        floorplan: Floorplan,
-        package: PackageConfig,
-        network,
-        solver: SteadyStateSolver,
-        engine: ThermalQueryEngine,
-    ) -> "HotSpotModel":
-        """A model reusing an extracted ``prebuilt_state``.
-
-        The network/solver/engine are shared structurally but the solver
-        and engine are *forked* (fresh query counters), so a request
-        served from a warm cache reports its own solve provenance, not
-        the accumulated history of every request before it.  The
-        floorplan's block names must match the engine's block order —
-        a mismatched injection would silently answer for the wrong die.
-        """
-        if tuple(floorplan.block_names()) != engine.block_names:
+        if floorplan is None:
+            floorplan = self.floorplan
+        elif floorplan.block_names() != self._block_names:
             raise ThermalError(
-                f"prebuilt engine blocks {list(engine.block_names)} do not "
-                f"match floorplan blocks {floorplan.block_names()}"
-            )
-        model = object.__new__(cls)
-        model.floorplan = floorplan
-        model.package = package
-        model.network = network
-        model._solver = solver.fork()
-        model._block_names = floorplan.block_names()
-        model._block_indices = [
-            network.index(name) for name in model._block_names
-        ]
-        model._engine = engine.fork()
-        model._queries = 0
-        return model
-
-    def attach_engine(self, engine: ThermalQueryEngine) -> None:
-        """Inject a precomputed query engine (block order must match)."""
-        if engine.block_names != tuple(self._block_names):
-            raise ThermalError(
-                f"engine blocks {list(engine.block_names)} do not match "
+                f"floorplan blocks {floorplan.block_names()} do not match "
                 f"model blocks {self._block_names}"
             )
-        self._engine = engine
+        engine = self.query_engine()
+        clone = object.__new__(HotSpotModel)
+        clone.floorplan = floorplan
+        clone.package = self.package
+        clone.network = self.network
+        clone._solver = self._solver.fork()
+        clone._block_names = self._block_names
+        clone._block_indices = self._block_indices
+        clone._engine = engine.fork()
+        clone._queries = 0
+        return clone
 
     # ------------------------------------------------------------------
     @property

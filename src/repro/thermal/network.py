@@ -17,7 +17,7 @@ top of this class.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +36,29 @@ class ThermalNetwork:
         self._ambient_conductance: List[float] = []
         self._edges: Dict[Tuple[int, int], float] = {}
         self._matrix_cache: Optional[np.ndarray] = None
+
+    @classmethod
+    def _assembled(
+        cls,
+        ambient_c: float,
+        nodes: Dict[str, int],
+        capacitance: List[float],
+        ambient_conductance: List[float],
+        edges: Dict[Tuple[int, int], float],
+    ) -> "ThermalNetwork":
+        """A network from parts already indexed and checked by the caller.
+
+        *nodes* maps names to ``0..n-1`` in order; *edges* is keyed by
+        ``(ia, ib)`` with ``ia < ib`` and holds positive conductances.
+        Given the pairs :meth:`connect` would see, in the same order, the
+        result equals the node-by-node build bit for bit.
+        """
+        network = cls(ambient_c)
+        network._nodes = nodes
+        network._capacitance = capacitance
+        network._ambient_conductance = ambient_conductance
+        network._edges = edges
+        return network
 
     # ------------------------------------------------------------------
     # construction
@@ -122,11 +145,30 @@ class ThermalNetwork:
     # matrices
     # ------------------------------------------------------------------
     def conductance_matrix(self) -> np.ndarray:
-        """The symmetric ``G`` matrix (W/K), cached until mutation."""
+        """The symmetric ``G`` matrix (W/K), cached until mutation.
+
+        A diagonal entry sums its node's edges in insertion order, then
+        its ambient term; an off-diagonal entry is its edge's negated
+        conductance.  So two networks given the same edges in the same
+        order get bit-identical matrices.
+        """
         if self._matrix_cache is None:
-            self._matrix_cache = _assemble_conductance(
-                len(self._nodes), self._edges.items(), self._ambient_conductance
-            )
+            size = len(self._nodes)
+            diagonal = [0.0] * size
+            offsets: List[int] = []  # flat (row-major) off-diagonal positions
+            values: List[float] = []
+            for (ia, ib), conductance in self._edges.items():
+                diagonal[ia] += conductance
+                diagonal[ib] += conductance
+                offsets += (ia * size + ib, ib * size + ia)
+                values += (-conductance, -conductance)
+            for index, conductance in enumerate(self._ambient_conductance):
+                diagonal[index] += conductance
+            matrix = np.zeros((size, size), dtype=float)
+            flat = matrix.ravel()  # a view: the matrix is contiguous
+            flat[offsets] = values
+            flat[:: size + 1] = diagonal
+            self._matrix_cache = matrix
         return self._matrix_cache
 
     def capacitance_vector(self) -> np.ndarray:
@@ -151,37 +193,6 @@ class ThermalNetwork:
             raise SingularNetworkError(
                 "thermal network has no path to ambient; steady state undefined"
             )
-
-
-def _assemble_conductance(
-    size: int,
-    edges: Iterable[Tuple[Tuple[int, int], float]],
-    ambient: Sequence[float],
-) -> np.ndarray:
-    """The symmetric ``G`` matrix (W/K) of *size* nodes.
-
-    *edges* yields ``((ia, ib), conductance)`` once per connected pair
-    (``ia != ib``); *ambient* holds each node's conductance to ambient.
-    A diagonal entry sums its node's edges in iteration order, then its
-    ambient term; an off-diagonal entry is its edge's negated conductance.
-    Every G in the package is assembled here, so two networks given the
-    same edges in the same order get bit-identical matrices.
-    """
-    diagonal = [0.0] * size
-    offsets: List[int] = []  # flat (row-major) positions of the off-diagonals
-    values: List[float] = []
-    for (ia, ib), conductance in edges:
-        diagonal[ia] += conductance
-        diagonal[ib] += conductance
-        offsets += (ia * size + ib, ib * size + ia)
-        values += (-conductance, -conductance)
-    for index, conductance in enumerate(ambient):
-        diagonal[index] += conductance
-    matrix = np.zeros((size, size), dtype=float)
-    flat = matrix.ravel()  # a view: the matrix is contiguous
-    flat[offsets] = values
-    flat[:: size + 1] = diagonal
-    return matrix
 
 
 def _source_power(name: str, power: float) -> float:

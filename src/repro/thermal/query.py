@@ -239,17 +239,6 @@ class ThermalQueryEngine:
             self.avg_sensitivity @ np.asarray(powers, dtype=float)
         )
 
-    def average_temperatures_many(self, powers: np.ndarray) -> np.ndarray:
-        """Batched averaged-temperature query: ``(k, n_blocks)`` → ``(k,)``."""
-        matrix = np.asarray(powers, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[1] != len(self.block_names):
-            raise ThermalError(
-                f"power matrix has shape {matrix.shape}, expected "
-                f"(k, {len(self.block_names)})"
-            )
-        self.fast_queries += matrix.shape[0]
-        return self.ambient_c + matrix @ self.avg_sensitivity
-
     def average_temperature_delta(
         self, base_average: float, block: int, delta_w: float
     ) -> float:

@@ -229,13 +229,6 @@ class SteadyStateSolver:
             unit[index, column] = 1.0
         return self.solve_rise_many(unit)
 
-    def temperatures_array(self, power: np.ndarray) -> np.ndarray:
-        """Absolute node temperatures (°C) for a raw power vector.
-
-        The index-based sibling of :meth:`temperatures` — no dict churn.
-        """
-        return self.network.ambient_c + self.solve_rise(power)
-
     def temperatures(self, power_by_node: Mapping[str, float]) -> Dict[str, float]:
         """Absolute temperatures (°C) for a node->W power map."""
         rise = self._rise(self.network.power_vector(power_by_node))

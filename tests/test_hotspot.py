@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ThermalError
+from repro.floorplan.geometry import Floorplan
 from repro.thermal.hotspot import HotSpotModel
 
 
@@ -109,3 +110,73 @@ class TestTransientQueries:
         final = result.final()
         for name in model.block_names:
             assert final[name] == pytest.approx(steady[name], abs=0.5)
+
+
+class TestFork:
+    """A fork shares the built state and nothing that counts queries."""
+
+    POWERS = {"pe0": 7.5, "pe2": 2.25}
+
+    def test_shares_network_factor_and_engine(self, model):
+        fork = model.fork()
+        assert fork.network is model.network
+        assert fork._solver._factor is model._solver._factor
+        engine = model.query_engine()
+        assert fork.query_engine().response is engine.response
+        assert fork.query_engine().avg_sensitivity is engine.avg_sensitivity
+        # the engine is built once, by the first fork, for every later one
+        assert model.fork().query_engine().response is engine.response
+
+    def test_counters_start_fresh(self, model):
+        model.peak_temperature(self.POWERS)
+        model.block_temperatures_many(np.ones((3, len(model.block_names))))
+        fork = model.fork()
+        assert fork.query_count == 0
+        stats = fork.query_stats
+        assert stats["queries"] == stats["solver_solves"] == 0
+        assert stats["engine_fast_queries"] == 0
+        assert stats["engine_built"] == 1
+        before = model.query_stats
+        fork.block_temperatures(self.POWERS)
+        fork.block_temperatures_many(np.ones((2, len(fork.block_names))))
+        assert fork.query_count == 3
+        assert model.query_stats == before
+
+    def test_answers_equal_a_fresh_model_bit_for_bit(self, model, platform_plan):
+        fork = model.fork()
+        fresh = HotSpotModel(platform_plan)
+        assert fork.block_temperatures(self.POWERS) == fresh.block_temperatures(
+            self.POWERS
+        )
+        assert fork.peak_temperature(self.POWERS) == fresh.peak_temperature(
+            self.POWERS
+        )
+        assert fork.average_temperature(self.POWERS) == fresh.average_temperature(
+            self.POWERS
+        )
+        powers = np.arange(2 * len(fork.block_names), dtype=float).reshape(2, -1)
+        assert np.array_equal(
+            fork.block_temperatures_many(powers),
+            fresh.block_temperatures_many(powers),
+        )
+        base = fork.block_power_vector(self.POWERS)
+        assert fork.average_temperature_delta(
+            base, "pe1", 4.0
+        ) == fresh.average_temperature_delta(base, "pe1", 4.0)
+
+    def test_answers_for_the_floorplan_it_is_given(self, model, platform_plan):
+        copy = Floorplan(platform_plan)
+        fork = model.fork(copy)
+        assert fork.floorplan is copy
+        assert model.fork().floorplan is model.floorplan
+
+    def test_refuses_a_floorplan_with_other_block_names(self, model, platform_plan):
+        renamed = Floorplan()
+        for block in platform_plan:
+            name = "ghost" if block.name == "pe3" else block.name
+            rect = block.rect
+            renamed.place(name, rect.x, rect.y, rect.w, rect.h)
+        reordered = Floorplan(reversed(list(platform_plan)))
+        for plan in (renamed, reordered):
+            with pytest.raises(ThermalError, match="do not match model blocks"):
+                model.fork(plan)
