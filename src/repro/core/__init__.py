@@ -23,6 +23,7 @@ from .heuristics import (
     CumulativePowerPolicy,
     DCContext,
     DCPolicy,
+    DCStep,
     TaskEnergyPolicy,
     TaskPowerPolicy,
     ThermalPolicy,
@@ -34,6 +35,7 @@ from .scheduler import ListScheduler
 __all__ = [
     "static_criticality",
     "DCContext",
+    "DCStep",
     "DCPolicy",
     "BaselinePolicy",
     "TaskPowerPolicy",

@@ -30,6 +30,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Mapping, Optional, TYPE_CHECKING
 
+import numpy as np
+
 from ..errors import FlowError, SchedulingError
 from ..power.model import PowerAccumulator
 from ..registry import Registry
@@ -40,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 __all__ = [
     "DCContext",
+    "DCStep",
     "DCPolicy",
     "BaselinePolicy",
     "TaskPowerPolicy",
@@ -102,6 +105,39 @@ class DCContext:
     thermal_query: Optional["ScheduledThermalQuery"] = None
 
 
+@dataclass
+class DCStep:
+    """Every candidate of one scheduler step, as equally long arrays.
+
+    Candidates are in the order the scheduler enumerates them: ready tasks
+    in release order, each task's supporting PEs in architecture order.
+    Element *i* of each array is the :class:`DCContext` field of the same
+    name for candidate *i*.
+
+    Fields
+    ------
+    task, pe:
+        Graph-order task indices and architecture-order PE indices (the
+        accumulator's PE order).
+    wcet, power, energy, ready_time, start, finish, horizon:
+        Per-candidate values, as in :class:`DCContext`.
+    accumulator, thermal_query:
+        Shared by every candidate of the step, as in :class:`DCContext`.
+    """
+
+    task: np.ndarray
+    pe: np.ndarray
+    wcet: np.ndarray
+    power: np.ndarray
+    energy: np.ndarray
+    ready_time: np.ndarray
+    start: np.ndarray
+    finish: np.ndarray
+    horizon: np.ndarray
+    accumulator: PowerAccumulator
+    thermal_query: Optional["ScheduledThermalQuery"] = None
+
+
 class DCPolicy:
     """Base class: a named, weighted penalty term subtracted from DC."""
 
@@ -130,6 +166,20 @@ class DCPolicy:
         or equally shaped arrays), and have ``penalty`` delegate to it so
         the formula exists once.  The default ``None`` — for every input —
         means the penalty depends on the partial schedule.
+        """
+        return None
+
+    def step_penalty(self, step: DCStep):
+        """``penalty`` for every candidate of one scheduler step at once.
+
+        Returns an array aligned with *step*'s arrays (or a scalar that
+        broadcasts to it), each element computed with the same operation
+        order as ``penalty`` gives for that candidate, so DC bits do not
+        change.  ``None`` — the default — makes the scheduler call
+        ``penalty`` once per candidate.  The scheduler uses the hook only
+        when it is defined at or below the class that defines ``penalty``:
+        a subclass that overrides ``penalty`` alone has made an inherited
+        hook stale.
         """
         return None
 
@@ -202,6 +252,9 @@ class BaselinePolicy(DCPolicy):
     def penalty(self, ctx: DCContext) -> float:
         return self.static_penalty(ctx.wcet, ctx.power)
 
+    def step_penalty(self, step: DCStep):
+        return self.static_penalty(step.wcet, step.power)
+
     def static_penalty(self, wcet, power):
         return 0.0
 
@@ -222,6 +275,9 @@ class TaskPowerPolicy(DCPolicy):
 
     def penalty(self, ctx: DCContext) -> float:
         return self.static_penalty(ctx.wcet, ctx.power)
+
+    def step_penalty(self, step: DCStep):
+        return self.static_penalty(step.wcet, step.power)
 
     def static_penalty(self, wcet, power):
         return self.weight * power
@@ -247,6 +303,12 @@ class CumulativePowerPolicy(DCPolicy):
         )
         return self.weight * averages[ctx.pe_name]
 
+    def step_penalty(self, step: DCStep):
+        accumulator = step.accumulator
+        energy = accumulator.energy_vector()[step.pe]
+        idle = accumulator.idle_vector()[step.pe]
+        return self.weight * ((energy + step.energy) / step.horizon + idle)
+
 
 @register_dc_policy
 class TaskEnergyPolicy(DCPolicy):
@@ -263,6 +325,9 @@ class TaskEnergyPolicy(DCPolicy):
 
     def penalty(self, ctx: DCContext) -> float:
         return self.static_penalty(ctx.wcet, ctx.power)
+
+    def step_penalty(self, step: DCStep):
+        return self.static_penalty(step.wcet, step.power)
 
     def static_penalty(self, wcet, power):
         return self.weight * (wcet * power)
@@ -309,6 +374,13 @@ class ThermalPolicy(DCPolicy):
         }
         avg_temp = ctx.thermal.average_temperature(power_by_block)
         return self.weight * avg_temp
+
+    def step_penalty(self, step: DCStep):
+        if step.thermal_query is None:
+            return None
+        return self.weight * step.thermal_query.average_temperatures(
+            step.pe, step.energy, step.horizon
+        )
 
 
 def policy_by_name(name: str, weight: Optional[float] = None, **params) -> DCPolicy:

@@ -13,6 +13,16 @@ dynamic-criticality term of Hung et al.:
    tie-breaking: earliest finish, then graph order, then PE order);
 3. stop when every task is placed.
 
+Each step scores all its candidates as one array program.  The penalty
+column comes from the policy's :meth:`~repro.core.heuristics.DCPolicy.
+step_penalty` hook when the policy defines it at or below the class that
+defines ``penalty``; otherwise (and whenever the hook returns ``None``)
+the scheduler calls ``penalty`` once per candidate with the same
+:class:`~repro.core.heuristics.DCContext` values, in the same order, as
+a per-candidate loop would.  On the thermal fast path the candidates
+within a small band of the best DC are re-scored through exact model
+queries, so decisions equal those of per-candidate steady-state solves.
+
 The procedure always produces a complete schedule; deadline satisfaction is
 checked afterwards (``check_deadline=True`` raises
 :class:`~repro.errors.DeadlineMissError`, the co-synthesis loop instead
@@ -25,7 +35,7 @@ the policy's penalty is a per-(task, PE) constant.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,10 +46,11 @@ from ..library.pe import Architecture
 from ..library.technology import TechnologyLibrary
 from ..power.model import PowerAccumulator
 from ..taskgraph.graph import TaskGraph
+from ..taskgraph.task import Task
 from ..thermal.hotspot import HotSpotModel
 from ..thermal.query import ScheduledThermalQuery
 from .criticality import static_criticality
-from .heuristics import BaselinePolicy, DCContext, DCPolicy
+from .heuristics import BaselinePolicy, DCContext, DCPolicy, DCStep
 from .schedule import Assignment, Schedule
 
 __all__ = ["ListScheduler", "screen_allocations"]
@@ -64,6 +75,38 @@ def _criticality(
         for name in graph.task_names()
     }
     return sc, downstream
+
+
+def _type_tables(
+    tasks: Sequence[Task], library: TechnologyLibrary, type_names: Sequence[str]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """WCET, WCPC and support of every task on every PE type.
+
+    Three (task × PE type) arrays; WCET and WCPC are 0 where the type
+    does not support the task.
+    """
+    shape = (len(tasks), len(type_names))
+    wcet, power, support = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool)
+    for t, task in enumerate(tasks):
+        for k, type_name in enumerate(type_names):
+            if library.supports(task, type_name):
+                wcet[t, k] = library.wcet(task, type_name)
+                power[t, k] = library.power(task, type_name)
+                support[t, k] = True
+    return wcet, power, support
+
+
+def _hook_is_current(policy: DCPolicy, hook: str) -> bool:
+    """True when *policy*'s *hook* is defined at or below the class that
+    defines ``penalty``.
+
+    A subclass that overrides ``penalty`` below the class defining a hook
+    has made the inherited hook stale.
+    """
+    mro = type(policy).__mro__
+    owner = next((k for k in mro if hook in vars(k)), None)
+    rule = next((k for k in mro if "penalty" in vars(k)), None)
+    return owner is not None and rule is not None and issubclass(owner, rule)
 
 
 class ListScheduler:
@@ -112,7 +155,21 @@ class ListScheduler:
             raise InfeasibleAllocationError(
                 f"deadline_guard must be >= 0, got {deadline_guard}"
             )
-        library.check_graph(graph, architecture)  # fail fast on infeasibility
+        names = graph.task_names()
+        pes = list(architecture)
+        # (task × PE) tables, gathered by PE-type column, so run() makes
+        # no library lookups
+        types: Dict[str, int] = {}
+        column = [types.setdefault(pe.type_name, len(types)) for pe in pes]
+        tables = _type_tables(graph.tasks(), library, list(types))
+        wcet, power, support = (table[:, column] for table in tables)
+        unsupported = np.flatnonzero(~support.any(axis=1))
+        if unsupported.size:
+            library.check_graph(graph, architecture)  # names the first bad task
+            raise InfeasibleAllocationError(
+                f"task {names[unsupported[0]]!r} has no supporting PE in "
+                f"{architecture.name!r}"
+            )
         self.graph = graph
         self.architecture = architecture
         self.library = library
@@ -121,23 +178,32 @@ class ListScheduler:
         self.deadline_guard = float(deadline_guard)
         self.comm = comm if comm is not None else zero_cost_comm()
         self._sc, self._downstream = _criticality(graph, library)
-        self._graph_order = {name: i for i, name in enumerate(graph.task_names())}
-        self._pe_order = {pe.name: i for i, pe in enumerate(architecture)}
-        # pre-resolve per-task (pe_name, wcet, power) candidate rows in
-        # architecture order, so run() makes no library lookups
-        self._candidates: Dict[str, List[Tuple[str, float, float]]] = {}
-        for task in graph:
-            rows = [
-                (pe.name, library.wcet(task, pe), library.power(task, pe))
-                for pe in architecture
-                if library.supports(task, pe)
-            ]
-            if not rows:
-                raise InfeasibleAllocationError(
-                    f"task {task.name!r} has no supporting PE in "
-                    f"{architecture.name!r}"
-                )
-            self._candidates[task.name] = rows
+        self._graph_order = {name: i for i, name in enumerate(names)}
+        self._pe_order = {pe.name: i for i, pe in enumerate(pes)}
+        self._pe_names = [pe.name for pe in pes]
+        self._idle_power = {pe.name: pe.pe_type.idle_power for pe in pes}
+        index = self._graph_order
+        self._successors = [[index[s] for s in graph.successors(n)] for n in names]
+        self._predecessors = [
+            [(index[p], graph.edge(p, n).data) for p in graph.predecessors(n)]
+            for n in names
+        ]
+        # one row per supported (task, PE) pair in row-major order, so row
+        # order is graph order, then architecture order
+        row_task, row_pe = np.nonzero(support)
+        self._row_task, self._row_pe = row_task, row_pe
+        self._row_wcet = wcet[support]
+        self._row_power = power[support]
+        self._row_energy = self._row_wcet * self._row_power
+        sc = np.array([self._sc[n] for n in names])
+        downstream = np.array([self._downstream[n] for n in names])
+        self._row_base = sc[row_task] - self._row_wcet  # DC's first operation
+        self._row_downstream = downstream[row_task]
+        bounds = np.searchsorted(row_task, np.arange(len(names) + 1))
+        self._task_rows = [
+            np.arange(lo, hi)
+            for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+        ]
         #: Profiling counters of the most recent :meth:`run` (steps,
         #: candidates evaluated, thermal fast-path hits); see
         #: ``docs/PERFORMANCE.md``.  A :class:`~repro.obs.Counters`
@@ -171,9 +237,9 @@ class ListScheduler:
         break ties toward earlier finish, then graph insertion order, then
         architecture order.
 
-        Both the fast ranking pass and the exact near-tie re-scoring go
-        through this one scoring expression — only ``ctx.thermal_query``
-        differs — so the two passes cannot drift apart.
+        The exact near-tie re-scoring of the thermal fast path goes through
+        this expression; the step's array program computes the same DC
+        with the same operation order.
         """
         dc = (
             self._sc[ctx.task_name]
@@ -195,57 +261,59 @@ class ListScheduler:
             self._pe_order[ctx.pe_name],
         )
 
-    def _verify_near_ties(
-        self,
-        policy: DCPolicy,
-        fast_candidates: List[tuple],
-        near_eps: float,
-        accumulator: PowerAccumulator,
-        current_makespan: float,
-    ) -> Tuple[tuple, int]:
-        """Pick this step's winner from fast-ranked *fast_candidates*.
-
-        Candidates whose fast DC is within *near_eps* of the best fast DC
-        are re-scored through the exact reference query (``thermal_query``
-        left unset, so the policy issues a real per-candidate model query);
-        the winner among them is chosen with the seed's exact comparison
-        key.  A single near candidate needs no re-query at all — the fast
-        ranking already proves every other candidate loses.
-
-        Returns ``(best, exact_requeries)`` with ``best`` shaped like the
-        run loop's commit tuple.
-        """
-        best_fast_dc = -min(candidate[0][0] for candidate in fast_candidates)
-        near = [
-            candidate
-            for candidate in fast_candidates
-            if -candidate[0][0] >= best_fast_dc - near_eps
-        ]
-        if len(near) == 1:
-            _, task_name, pe_name, start, end, power, wcet, _ = near[0]
-            return (task_name, pe_name, start, end, power, wcet), 0
-        best = None
-        best_key = None
-        for _, task_name, pe_name, start, end, power, wcet, ready_time in near:
-            ctx = DCContext(
-                task_name=task_name,
-                pe_name=pe_name,
+    def _contexts(
+        self, step: DCStep, positions, thermal_query
+    ) -> Iterator[DCContext]:
+        """The :class:`DCContext` of the step's candidates at *positions*."""
+        names, pe_names = self.graph.task_names(), self._pe_names
+        columns = (
+            values[positions].tolist()
+            for values in (
+                step.task, step.pe, step.wcet, step.power, step.energy,
+                step.ready_time, step.start, step.finish, step.horizon,
+            )
+        )
+        for t, p, wcet, power, energy, ready, start, finish, horizon in zip(*columns):
+            yield DCContext(
+                task_name=names[t],
+                pe_name=pe_names[p],
                 wcet=wcet,
                 power=power,
-                energy=wcet * power,
-                ready_time=ready_time,
+                energy=energy,
+                ready_time=ready,
                 start=start,
-                finish=end,
-                accumulator=accumulator,
-                horizon=max(current_makespan, end),
+                finish=finish,
+                accumulator=step.accumulator,
+                horizon=horizon,
                 thermal=self.thermal,
                 pe_to_block=self.pe_to_block,
+                thermal_query=thermal_query,
             )
-            key = self._candidate_key(policy, ctx)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (task_name, pe_name, start, end, power, wcet)
-        return best, len(near)
+
+    def _release(
+        self,
+        t: int,
+        finish: List[float],
+        pe_of: List[int],
+        ready_time: np.ndarray,
+    ) -> np.ndarray:
+        """Set the ready times of task *t*'s rows once its last
+        predecessor is committed, and return those rows."""
+        rows = self._task_rows[t]
+        predecessors = self._predecessors[t]
+        if self.comm.is_free:
+            ready_time[rows] = max((finish[p] for p, _ in predecessors), default=0.0)
+            return rows
+        # data from predecessors on other PEs arrives late
+        pe_names = self._pe_names
+        for row in rows.tolist():
+            pe_name = pe_names[self._row_pe[row]]
+            ready = 0.0
+            for p, data in predecessors:
+                arrival = finish[p] + self.comm.delay(pe_names[pe_of[p]], pe_name, data)
+                ready = max(ready, arrival)
+            ready_time[row] = ready
+        return rows
 
     # ------------------------------------------------------------------
     def run(
@@ -267,25 +335,24 @@ class ListScheduler:
                 f"`thermal=` when building the scheduler"
             )
         graph = self.graph
-        avail: Dict[str, float] = {pe.name: 0.0 for pe in self.architecture}
-        finish: Dict[str, float] = {}
-        unscheduled_preds: Dict[str, int] = {
-            name: graph.in_degree(name) for name in graph.task_names()
-        }
-        # ready task -> latest predecessor finish, fixed once it is ready
-        ready: Dict[str, float] = {
-            n: 0.0 for n, d in unscheduled_preds.items() if d == 0
-        }
-        pe_of: Dict[str, str] = {}  # committed task -> its PE (for comm delays)
-        accumulator = PowerAccumulator(
-            avail.keys(),
-            idle_power={
-                pe.name: pe.pe_type.idle_power for pe in self.architecture
-            },
-        )
+        names, pe_names = graph.task_names(), self._pe_names
+        row_task, row_pe = self._row_task, self._row_pe
+        avail = np.zeros(len(pe_names))
+        finish = [0.0] * len(names)
+        pe_of = [0] * len(names)  # committed task -> its PE (for comm delays)
+        waiting = [len(p) for p in self._predecessors]
+        ready_time = np.zeros(len(row_task))  # per row, set on release
+        # the step's candidate rows: ready tasks in release order, each
+        # task's PEs in architecture order
+        rows = np.concatenate([np.zeros(0, dtype=np.intp)] + [
+            self._release(t, finish, pe_of, ready_time)
+            for t, count in enumerate(waiting) if count == 0
+        ])
+        accumulator = PowerAccumulator(pe_names, idle_power=self._idle_power)
         thermal_query = None
         if fast_thermal and policy.requires_thermal:
             thermal_query = self._build_thermal_query(accumulator)
+        hook = _hook_is_current(policy, "step_penalty")
         # Verified fast path: rank every candidate with O(1) delta queries,
         # then re-evaluate only the candidates within `near_eps` of the best
         # DC through the exact reference query (one backsolve each).  Any
@@ -294,79 +361,85 @@ class ListScheduler:
         # band), so decisions — including tie-breaks — are identical to the
         # per-candidate-solve scheduler.
         near_eps = 1e-6 + getattr(policy, "weight", 0.0) * 1e-8
+        guard, deadline = self.deadline_guard, graph.deadline
         assignments: List[Assignment] = []
         current_makespan = 0.0
         steps = 0
         candidates_evaluated = 0
         exact_requeries = 0
-        comm_free = self.comm.is_free
 
-        while ready:
-            best = None  # (dc, -finish, -orders) comparison via explicit loop
-            best_key = None
-            fast_candidates = [] if thermal_query is not None else None
-            for task_name, base_ready in ready.items():
-                for pe_name, wcet, power in self._candidates[task_name]:
-                    if comm_free:
-                        ready_time = base_ready
-                    else:
-                        # data from predecessors on other PEs arrives late
-                        ready_time = 0.0
-                        for pred in graph.predecessors(task_name):
-                            arrival = finish[pred] + self.comm.delay(
-                                pe_of[pred], pe_name, graph.edge(pred, task_name).data
-                            )
-                            ready_time = max(ready_time, arrival)
-                    start = max(avail[pe_name], ready_time)
-                    end = start + wcet
-                    candidates_evaluated += 1
-                    ctx = DCContext(
-                        task_name=task_name,
-                        pe_name=pe_name,
-                        wcet=wcet,
-                        power=power,
-                        energy=wcet * power,
-                        ready_time=ready_time,
-                        start=start,
-                        finish=end,
-                        accumulator=accumulator,
-                        horizon=max(current_makespan, end),
-                        thermal=self.thermal,
-                        pe_to_block=self.pe_to_block,
-                        thermal_query=thermal_query,
-                    )
-                    key = self._candidate_key(policy, ctx)
-                    if fast_candidates is not None:
-                        fast_candidates.append(
-                            (key, task_name, pe_name, start, end, power,
-                             wcet, ready_time)
-                        )
-                    elif best_key is None or key < best_key:
-                        best_key = key
-                        best = (task_name, pe_name, start, end, power, wcet)
+        while rows.size:
+            task, pe, wcet = row_task[rows], row_pe[rows], self._row_wcet[rows]
+            start = np.maximum(avail[pe], ready_time[rows])
+            end = start + wcet
+            step = DCStep(
+                task=task,
+                pe=pe,
+                wcet=wcet,
+                power=self._row_power[rows],
+                energy=self._row_energy[rows],
+                ready_time=ready_time[rows],
+                start=start,
+                finish=end,
+                horizon=np.maximum(end, current_makespan),
+                accumulator=accumulator,
+                thermal_query=thermal_query,
+            )
+            candidates_evaluated += rows.size
+            penalty = policy.step_penalty(step) if hook else None
+            if penalty is None:  # per-candidate, in enumeration order
+                penalty = np.array([
+                    policy.penalty(ctx)
+                    for ctx in self._contexts(step, slice(None), thermal_query)
+                ], dtype=float)
+            dc = (self._row_base[rows] - start) - penalty
+            if guard:
+                overrun = (end + self._row_downstream[rows]) - deadline
+                dc = np.where(overrun > 0.0, dc - guard * overrun, dc)
 
-            if fast_candidates is not None:
-                best, requeried = self._verify_near_ties(
-                    policy, fast_candidates, near_eps, accumulator,
-                    current_makespan,
-                )
-                exact_requeries += requeried
+            if thermal_query is None:
+                # exact max DC; ties to the earliest finish, then the
+                # smallest row (graph order, then PE order)
+                tied = (dc == dc.max()).nonzero()[0]
+                if tied.size > 1:
+                    ends = end[tied]
+                    tied = tied[ends == ends.min()]
+                    i = int(tied[rows[tied].argmin()])
+                else:
+                    i = int(tied[0])
+            else:
+                near = (dc >= dc.max() - near_eps).nonzero()[0]
+                if near.size > 1:
+                    # re-score the near ties through exact model queries
+                    keys = [
+                        self._candidate_key(policy, ctx)
+                        for ctx in self._contexts(step, near, None)
+                    ]
+                    exact_requeries += near.size
+                    i = int(near[keys.index(min(keys))])
+                else:
+                    i = int(near[0])
 
-            task_name, pe_name, start, end, power, wcet = best
-            assignments.append(Assignment(task_name, pe_name, start, end, power))
-            avail[pe_name] = end
-            finish[task_name] = end
-            pe_of[task_name] = pe_name
-            current_makespan = max(current_makespan, end)
-            accumulator.record(pe_name, power, wcet)
-            del ready[task_name]
+            row, t, p = int(rows[i]), int(task[i]), int(pe[i])
+            begin, done = float(start[i]), float(end[i])
+            power, duration = float(self._row_power[row]), float(self._row_wcet[row])
+            assignments.append(Assignment(names[t], pe_names[p], begin, done, power))
+            avail[p] = done
+            finish[t] = done
+            pe_of[t] = p
+            current_makespan = max(current_makespan, done)
+            accumulator.record(pe_names[p], power, duration)
             steps += 1
-            for successor in graph.successors(task_name):
-                unscheduled_preds[successor] -= 1
-                if unscheduled_preds[successor] == 0:
-                    ready[successor] = max(
-                        finish[p] for p in graph.predecessors(successor)
+            rows = rows[task != t]
+            released = []
+            for successor in self._successors[t]:
+                waiting[successor] -= 1
+                if waiting[successor] == 0:
+                    released.append(
+                        self._release(successor, finish, pe_of, ready_time)
                     )
+            if released:
+                rows = np.concatenate((rows, *released))
 
         self.last_run_stats = Counters(
             namespace="scheduler",
@@ -395,12 +468,10 @@ def _lockstep_capable(policy: DCPolicy) -> bool:
     below the class defining the hook has made the inherited hook stale,
     so it does not qualify either.
     """
-    mro = type(policy).__mro__
-    hook = next((k for k in mro if "static_penalty" in vars(k)), None)
-    rule = next((k for k in mro if "penalty" in vars(k)), None)
-    if hook is None or rule is None or not issubclass(hook, rule):
-        return False
-    return policy.static_penalty(1.0, 1.0) is not None
+    return (
+        _hook_is_current(policy, "static_penalty")
+        and policy.static_penalty(1.0, 1.0) is not None
+    )
 
 
 def screen_allocations(
@@ -466,15 +537,9 @@ def _screen_lockstep(
         for s, pe in enumerate(architecture):
             column[a, s] = type_column.setdefault(pe.type_name, len(type_column))
             present[a, s] = True
-    wcet_table = np.zeros((n_tasks, len(type_column)))
-    power_table = np.zeros((n_tasks, len(type_column)))
-    support_table = np.zeros((n_tasks, len(type_column)), dtype=bool)
-    for t, task in enumerate(tasks):
-        for type_name, k in type_column.items():
-            if library.supports(task, type_name):
-                wcet_table[t, k] = library.wcet(task, type_name)
-                power_table[t, k] = library.power(task, type_name)
-                support_table[t, k] = True
+    wcet_table, power_table, support_table = _type_tables(
+        tasks, library, list(type_column)
+    )
     supported = (support_table[:, column] & present).transpose(1, 0, 2)
     for a in np.flatnonzero(~supported.any(axis=2).all(axis=1)):
         library.check_graph(graph, allocations[a])  # names the first bad task

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..core.heuristics import DCContext, DCPolicy, register_dc_policy
+from ..core.heuristics import DCContext, DCPolicy, DCStep, register_dc_policy
 from ..errors import SchedulingError
 
 __all__ = [
@@ -69,6 +69,13 @@ class ThermalPeakPolicy(DCPolicy):
         peak = ctx.thermal.peak_temperature(_candidate_block_powers(ctx))
         return self.weight * peak
 
+    def step_penalty(self, step: DCStep):
+        if step.thermal_query is None:
+            return None
+        return self.weight * step.thermal_query.peak_temperatures(
+            step.pe, step.energy, step.horizon
+        )
+
 
 @register_dc_policy
 class HybridThermalPolicy(DCPolicy):
@@ -109,3 +116,13 @@ class HybridThermalPolicy(DCPolicy):
         mixed = (1.0 - self.peak_fraction) * average + self.peak_fraction * peak
         return self.weight * mixed
 
+    def step_penalty(self, step: DCStep):
+        if step.thermal_query is None:
+            return None
+        temps = step.thermal_query.block_temperature_matrix(
+            step.pe, step.energy, step.horizon
+        )
+        average = temps.sum(axis=1) / temps.shape[1]
+        peak = temps.max(axis=1)
+        mixed = (1.0 - self.peak_fraction) * average + self.peak_fraction * peak
+        return self.weight * mixed

@@ -358,6 +358,42 @@ class ScheduledThermalQuery:
         """Hottest block temperature for the candidate state (°C)."""
         return float(self.block_temperatures(pe_name, energy, horizon).max())
 
+    # ------------------------------------------------------------------
+    # one scheduler step at once: *pe* holds accumulator-order PE
+    # indices; each element is computed with the operation order of the
+    # per-candidate query above, so the values are bit-identical
+    # ------------------------------------------------------------------
+    def average_temperatures(
+        self, pe: np.ndarray, energy: np.ndarray, horizon: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`average_temperature` of every candidate (°C)."""
+        self._refresh()
+        self.fast_hits += len(pe)
+        return (
+            self.engine.ambient_c
+            + (self._base_avg_energy + energy * self._sens[pe]) / horizon
+            + self._idle_avg
+        )
+
+    def block_temperature_matrix(
+        self, pe: np.ndarray, energy: np.ndarray, horizon: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`block_temperatures` of every candidate, one row each."""
+        self._refresh()
+        self.fast_hits += len(pe)
+        return (
+            self.engine.ambient_c
+            + (self._base_temp_energy + energy[:, None] * self._resp.T[pe])
+            / horizon[:, None]
+            + self._idle_temps
+        )
+
+    def peak_temperatures(
+        self, pe: np.ndarray, energy: np.ndarray, horizon: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`peak_temperature` of every candidate (°C)."""
+        return self.block_temperature_matrix(pe, energy, horizon).max(axis=1)
+
     def __repr__(self) -> str:
         return (
             f"ScheduledThermalQuery(pes={len(self._pe_index)}, "

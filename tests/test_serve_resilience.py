@@ -217,7 +217,7 @@ class TestDaemonUnderFaults:
     def test_orphaned_timeout_completes_and_is_counted(self, tmp_path):
         heavy = platform_spec(
             "Bm1", policy="thermal",
-            graph=generated_source("layered", tasks=120, seed=3), count=6,
+            graph=generated_source("layered", tasks=400, seed=3), count=6,
         )
         with ServeDaemon(
             port=0, workers=1, store=tmp_path / "store",
