@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Mapping, Optional, TYPE_CHECKING
+from typing import Dict, Mapping, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -138,6 +138,16 @@ class DCStep:
     thermal_query: Optional["ScheduledThermalQuery"] = None
 
 
+def _candidate_block_powers(ctx: DCContext) -> Dict[str, float]:
+    """Per-block average powers with the candidate task injected: the
+    exact-path input of the thermal policies."""
+    averages = ctx.accumulator.average_powers(
+        ctx.horizon, extra={ctx.pe_name: ctx.energy}
+    )
+    mapping = ctx.pe_to_block or {}
+    return {mapping.get(pe, pe): watts for pe, watts in averages.items()}
+
+
 class DCPolicy:
     """Base class: a named, weighted penalty term subtracted from DC."""
 
@@ -154,18 +164,28 @@ class DCPolicy:
         self.weight = weight
 
     def penalty(self, ctx: DCContext) -> float:
-        """The ``Pow`` value (already scaled by ``weight``)."""
-        raise NotImplementedError
+        """The ``Pow`` value (already scaled by ``weight``).
+
+        Defaults to :meth:`static_penalty` of the candidate's WCET and
+        WCPC; a policy whose penalty reads the partial schedule overrides
+        this instead.
+        """
+        value = self.static_penalty(ctx.wcet, ctx.power)
+        if value is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} defines neither penalty nor static_penalty"
+            )
+        return value
 
     def static_penalty(self, wcet, power):
         """``penalty`` as a function of the candidate's WCET and WCPC alone.
 
-        Policies whose penalty reads no schedule state return it here, so
-        that :func:`~repro.core.scheduler.screen_allocations` can score
-        whole arrays of candidates at once (*wcet* and *power* are scalars
-        or equally shaped arrays), and have ``penalty`` delegate to it so
-        the formula exists once.  The default ``None`` — for every input —
-        means the penalty depends on the partial schedule.
+        A policy whose penalty reads no schedule state defines only this:
+        ``penalty`` and ``step_penalty`` default to it, and
+        :func:`~repro.core.scheduler.screen_allocations` scores whole
+        arrays of candidates at once through it (*wcet* and *power* are
+        scalars or equally shaped arrays).  The default ``None`` — for
+        every input — means the penalty depends on the partial schedule.
         """
         return None
 
@@ -175,13 +195,13 @@ class DCPolicy:
         Returns an array aligned with *step*'s arrays (or a scalar that
         broadcasts to it), each element computed with the same operation
         order as ``penalty`` gives for that candidate, so DC bits do not
-        change.  ``None`` — the default — makes the scheduler call
-        ``penalty`` once per candidate.  The scheduler uses the hook only
-        when it is defined at or below the class that defines ``penalty``:
-        a subclass that overrides ``penalty`` alone has made an inherited
-        hook stale.
+        change.  Defaults to :meth:`static_penalty` of the step's WCETs
+        and WCPCs; ``None`` makes the scheduler call ``penalty`` once per
+        candidate.  The scheduler uses the hook only when it is defined at
+        or below the class that defines ``penalty``: a subclass that
+        overrides ``penalty`` alone has made an inherited hook stale.
         """
-        return None
+        return self.static_penalty(step.wcet, step.power)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(weight={self.weight})"
@@ -249,12 +269,6 @@ class BaselinePolicy(DCPolicy):
     def __init__(self, weight: float = 0.0):
         super().__init__(weight)
 
-    def penalty(self, ctx: DCContext) -> float:
-        return self.static_penalty(ctx.wcet, ctx.power)
-
-    def step_penalty(self, step: DCStep):
-        return self.static_penalty(step.wcet, step.power)
-
     def static_penalty(self, wcet, power):
         return 0.0
 
@@ -272,12 +286,6 @@ class TaskPowerPolicy(DCPolicy):
 
     def __init__(self, weight: float = 4.0):
         super().__init__(weight)
-
-    def penalty(self, ctx: DCContext) -> float:
-        return self.static_penalty(ctx.wcet, ctx.power)
-
-    def step_penalty(self, step: DCStep):
-        return self.static_penalty(step.wcet, step.power)
 
     def static_penalty(self, wcet, power):
         return self.weight * power
@@ -323,12 +331,6 @@ class TaskEnergyPolicy(DCPolicy):
     def __init__(self, weight: float = 0.10):
         super().__init__(weight)
 
-    def penalty(self, ctx: DCContext) -> float:
-        return self.static_penalty(ctx.wcet, ctx.power)
-
-    def step_penalty(self, step: DCStep):
-        return self.static_penalty(step.wcet, step.power)
-
     def static_penalty(self, wcet, power):
         return self.weight * (wcet * power)
 
@@ -365,15 +367,8 @@ class ThermalPolicy(DCPolicy):
                 ctx.pe_name, ctx.energy, ctx.horizon
             )
             return self.weight * avg_temp
-        averages = ctx.accumulator.average_powers(
-            ctx.horizon, extra={ctx.pe_name: ctx.energy}
-        )
-        mapping = ctx.pe_to_block or {}
-        power_by_block = {
-            mapping.get(pe, pe): watts for pe, watts in averages.items()
-        }
-        avg_temp = ctx.thermal.average_temperature(power_by_block)
-        return self.weight * avg_temp
+        powers = _candidate_block_powers(ctx)
+        return self.weight * ctx.thermal.average_temperature(powers)
 
     def step_penalty(self, step: DCStep):
         if step.thermal_query is None:

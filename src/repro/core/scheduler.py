@@ -19,9 +19,12 @@ step_penalty` hook when the policy defines it at or below the class that
 defines ``penalty``; otherwise (and whenever the hook returns ``None``)
 the scheduler calls ``penalty`` once per candidate with the same
 :class:`~repro.core.heuristics.DCContext` values, in the same order, as
-a per-candidate loop would.  On the thermal fast path the candidates
-within a small band of the best DC are re-scored through exact model
-queries, so decisions equal those of per-candidate steady-state solves.
+a per-candidate loop would.  The DC arithmetic and the winner rule exist
+once, as ``_dc`` and ``_winner``.  Every step goes through both, and so
+does the thermal fast path's exact re-score of its near ties: the
+candidates within a small band of the best DC get their penalties from
+per-candidate model queries, so decisions equal those of per-candidate
+steady-state solves.  Lockstep screening scores through ``_dc`` too.
 
 The procedure always produces a complete schedule; deadline satisfaction is
 checked afterwards (``check_deadline=True`` raises
@@ -35,7 +38,7 @@ the policy's penalty is a per-(task, PE) constant.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,19 +65,44 @@ _DEADLINE_GUARD = 10.0
 
 def _criticality(
     graph: TaskGraph, library: TechnologyLibrary
-) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Every task's static criticality, and the critical path left after it.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every task's static criticality, and the critical path left after it,
+    as graph-order arrays.
 
-    The second map feeds the deadline guard: a candidate finishing at time
-    t leaves at least ``downstream[task]`` units of successor work
+    The second array feeds the deadline guard: a candidate finishing at
+    time t leaves at least ``downstream[task]`` units of successor work
     (mean-WCET estimate) to run.
     """
     sc = static_criticality(graph, library)
-    downstream = {
-        name: sc[name] - library.mean_wcet(graph.task(name))
-        for name in graph.task_names()
-    }
-    return sc, downstream
+    tasks = graph.tasks()
+    sc = np.array([sc[task.name] for task in tasks])
+    return sc, sc - np.array([library.mean_wcet(task) for task in tasks])
+
+
+def _dc(base, start, finish, downstream, penalty, deadline: float, guard: float):
+    """The seed's DC: ``((SC − WCET) − start) − penalty``, then minus
+    ``guard · overrun`` where the estimated completion ``finish +
+    downstream`` overruns *deadline*.
+
+    *base* is ``SC − WCET``; every argument is an array or broadcasts to
+    one.  A zero *guard* skips the guard term.
+    """
+    dc = (base - start) - penalty
+    if guard:
+        overrun = (finish + downstream) - deadline
+        dc = np.where(overrun > 0.0, dc - guard * overrun, dc)
+    return dc
+
+
+def _winner(dc: np.ndarray, finish: np.ndarray, rows: np.ndarray) -> int:
+    """Position of the exact max *dc*; ties go to the earliest *finish*,
+    then to the smallest row (graph order, then PE order)."""
+    tied = (dc == dc.max()).nonzero()[0]
+    if tied.size == 1:
+        return int(tied[0])
+    ends = finish[tied]
+    tied = tied[ends == ends.min()]
+    return int(tied[rows[tied].argmin()])
 
 
 def _type_tables(
@@ -177,12 +205,9 @@ class ListScheduler:
         self.pe_to_block = dict(pe_to_block) if pe_to_block else None
         self.deadline_guard = float(deadline_guard)
         self.comm = comm if comm is not None else zero_cost_comm()
-        self._sc, self._downstream = _criticality(graph, library)
-        self._graph_order = {name: i for i, name in enumerate(names)}
-        self._pe_order = {pe.name: i for i, pe in enumerate(pes)}
         self._pe_names = [pe.name for pe in pes]
         self._idle_power = {pe.name: pe.pe_type.idle_power for pe in pes}
-        index = self._graph_order
+        index = {name: i for i, name in enumerate(names)}
         self._successors = [[index[s] for s in graph.successors(n)] for n in names]
         self._predecessors = [
             [(index[p], graph.edge(p, n).data) for p in graph.predecessors(n)]
@@ -195,8 +220,7 @@ class ListScheduler:
         self._row_wcet = wcet[support]
         self._row_power = power[support]
         self._row_energy = self._row_wcet * self._row_power
-        sc = np.array([self._sc[n] for n in names])
-        downstream = np.array([self._downstream[n] for n in names])
+        sc, downstream = _criticality(graph, library)
         self._row_base = sc[row_task] - self._row_wcet  # DC's first operation
         self._row_downstream = downstream[row_task]
         bounds = np.searchsorted(row_task, np.arange(len(names) + 1))
@@ -232,39 +256,12 @@ class ListScheduler:
             # dict semantics by falling back to per-candidate model queries
             return None
 
-    def _candidate_key(self, policy: DCPolicy, ctx: DCContext) -> tuple:
-        """The seed comparison key for one candidate: maximise DC, then
-        break ties toward earlier finish, then graph insertion order, then
-        architecture order.
-
-        The exact near-tie re-scoring of the thermal fast path goes through
-        this expression; the step's array program computes the same DC
-        with the same operation order.
-        """
-        dc = (
-            self._sc[ctx.task_name]
-            - ctx.wcet
-            - ctx.start
-            - policy.penalty(ctx)
-        )
-        if self.deadline_guard:
-            # estimated graph completion if this candidate is committed:
-            # its finish plus the remaining critical path through it
-            completion = ctx.finish + self._downstream[ctx.task_name]
-            overrun = completion - self.graph.deadline
-            if overrun > 0.0:
-                dc -= self.deadline_guard * overrun
-        return (
-            -dc,
-            ctx.finish,
-            self._graph_order[ctx.task_name],
-            self._pe_order[ctx.pe_name],
-        )
-
-    def _contexts(
-        self, step: DCStep, positions, thermal_query
-    ) -> Iterator[DCContext]:
-        """The :class:`DCContext` of the step's candidates at *positions*."""
+    def _penalties(
+        self, policy: DCPolicy, step: DCStep, positions, thermal_query
+    ) -> np.ndarray:
+        """The per-candidate adapter: ``policy.penalty`` of the step's
+        candidates at *positions*, one :class:`DCContext` each, in
+        enumeration order."""
         names, pe_names = self.graph.task_names(), self._pe_names
         columns = (
             values[positions].tolist()
@@ -273,8 +270,8 @@ class ListScheduler:
                 step.ready_time, step.start, step.finish, step.horizon,
             )
         )
-        for t, p, wcet, power, energy, ready, start, finish, horizon in zip(*columns):
-            yield DCContext(
+        return np.array([
+            policy.penalty(DCContext(
                 task_name=names[t],
                 pe_name=pe_names[p],
                 wcet=wcet,
@@ -288,7 +285,9 @@ class ListScheduler:
                 thermal=self.thermal,
                 pe_to_block=self.pe_to_block,
                 thermal_query=thermal_query,
-            )
+            ))
+            for t, p, wcet, power, energy, ready, start, finish, horizon in zip(*columns)
+        ], dtype=float)
 
     def _release(
         self,
@@ -387,36 +386,23 @@ class ListScheduler:
             )
             candidates_evaluated += rows.size
             penalty = policy.step_penalty(step) if hook else None
-            if penalty is None:  # per-candidate, in enumeration order
-                penalty = np.array([
-                    policy.penalty(ctx)
-                    for ctx in self._contexts(step, slice(None), thermal_query)
-                ], dtype=float)
-            dc = (self._row_base[rows] - start) - penalty
-            if guard:
-                overrun = (end + self._row_downstream[rows]) - deadline
-                dc = np.where(overrun > 0.0, dc - guard * overrun, dc)
-
+            if penalty is None:
+                penalty = self._penalties(policy, step, slice(None), thermal_query)
+            base, downstream = self._row_base[rows], self._row_downstream[rows]
+            dc = _dc(base, start, end, downstream, penalty, deadline, guard)
             if thermal_query is None:
-                # exact max DC; ties to the earliest finish, then the
-                # smallest row (graph order, then PE order)
-                tied = (dc == dc.max()).nonzero()[0]
-                if tied.size > 1:
-                    ends = end[tied]
-                    tied = tied[ends == ends.min()]
-                    i = int(tied[rows[tied].argmin()])
-                else:
-                    i = int(tied[0])
+                i = _winner(dc, end, rows)
             else:
                 near = (dc >= dc.max() - near_eps).nonzero()[0]
                 if near.size > 1:
                     # re-score the near ties through exact model queries
-                    keys = [
-                        self._candidate_key(policy, ctx)
-                        for ctx in self._contexts(step, near, None)
-                    ]
+                    exact = self._penalties(policy, step, near, None)
+                    exact_dc = _dc(
+                        base[near], start[near], end[near], downstream[near],
+                        exact, deadline, guard,
+                    )
                     exact_requeries += near.size
-                    i = int(near[keys.index(min(keys))])
+                    i = int(near[_winner(exact_dc, end[near], rows[near])])
                 else:
                     i = int(near[0])
 
@@ -495,12 +481,10 @@ def screen_allocations(
     Lockstep state is shaped (allocation × task × PE slot), padded to the
     largest allocation.  WCET, WCPC and support come from a per-(task,
     PE type) table, gathered through a per-(allocation, slot) column index.
-    Each step commits one task per allocation with the seed's arithmetic:
-    ``DC = ((SC − WCET) − start) − penalty``, minus ``guard · overrun``
-    (``ListScheduler``'s default guard of 10) where the estimated
-    completion overruns the deadline.  The winner
-    maximises DC; ties go to the earliest finish, then to the first
-    (task, slot) in graph order, then architecture order.
+    Each step commits one task per allocation, scoring DC through ``_dc``
+    at ``ListScheduler``'s default guard of 10.  The winner maximises DC;
+    ties go to the earliest finish, then to the first (task, slot) in
+    graph order, then architecture order.
     """
     allocations = list(allocations)
     lockstep = _lockstep_capable(policy)
@@ -550,8 +534,6 @@ def _screen_lockstep(
         policy.static_penalty(wcet_table, power_table), wcet_table.shape
     )
     sc, downstream = _criticality(graph, library)
-    sc = np.array([sc[name] for name in names])
-    downstream = np.array([downstream[name] for name in names])
 
     index = {name: t for t, name in enumerate(names)}
     successors = np.zeros((n_tasks, n_tasks), dtype=bool)
@@ -573,9 +555,10 @@ def _screen_lockstep(
         wcet = wcet_table[pick]
         start = np.maximum(avail[:, None, :], ready_time[:, cols, None])
         finish = start + wcet
-        dc = ((sc[cols, None] - wcet) - start) - penalty_table[pick]
-        overrun = (finish + downstream[cols, None]) - graph.deadline
-        dc = np.where(overrun > 0.0, dc - _DEADLINE_GUARD * overrun, dc)
+        dc = _dc(
+            sc[cols, None] - wcet, start, finish, downstream[cols, None],
+            penalty_table[pick], graph.deadline, _DEADLINE_GUARD,
+        )
         candidate = supported[:, cols] & ready[:, cols, None]
         best = np.where(candidate, dc, -np.inf).max(axis=(1, 2), keepdims=True)
         tied = candidate & (dc == best)

@@ -19,24 +19,19 @@ like any built-in name and ``repro.POLICY_NAMES`` lists them.
 
 from __future__ import annotations
 
-from typing import Dict
-
-from ..core.heuristics import DCContext, DCPolicy, DCStep, register_dc_policy
+from ..core.heuristics import (
+    DCContext,
+    DCPolicy,
+    DCStep,
+    _candidate_block_powers,
+    register_dc_policy,
+)
 from ..errors import SchedulingError
 
 __all__ = [
     "ThermalPeakPolicy",
     "HybridThermalPolicy",
 ]
-
-
-def _candidate_block_powers(ctx: DCContext) -> Dict[str, float]:
-    """Per-block average powers with the candidate task injected."""
-    averages = ctx.accumulator.average_powers(
-        ctx.horizon, extra={ctx.pe_name: ctx.energy}
-    )
-    mapping = ctx.pe_to_block or {}
-    return {mapping.get(pe, pe): watts for pe, watts in averages.items()}
 
 
 @register_dc_policy

@@ -31,7 +31,10 @@ away while accepted requests finish.  See docs/RESILIENCE.md.
 Prometheus text exposition — request counters, queue-depth and
 worker-utilization gauges, and latency histograms — rendered by
 :meth:`ServeDaemon.metrics_text` (the daemon enables tracing by
-default; pass ``obs=False`` to keep the null recorder).
+default; pass ``obs=False`` to keep the null recorder).  A recorder the
+daemon enables itself keeps no spans, since no endpoint exports them;
+run the daemon under a recorder of your own (``repro.obs.capture()``)
+to collect its per-request spans.
 
 The daemon is deliberately plain stdlib (``http.server``): requests are
 seconds-scale scheduling runs, so connection throughput is never the
@@ -191,11 +194,13 @@ class ServeDaemon:
             )
         self._prev_recorder = None
         if obs and not get_recorder().enabled:
-            # per-request spans + the /metrics registry need a live
-            # recorder; remember what we displaced so shutdown() can
-            # put it back (embedded daemons must not leak global state)
+            # the /metrics registry needs a live recorder; nothing exports
+            # the spans of one the daemon owns, so it keeps none (a
+            # recorder the caller installed keeps its own bound).  Remember
+            # what we displaced so shutdown() can put it back (embedded
+            # daemons must not leak global state)
             self._prev_recorder = get_recorder()
-            enable()
+            enable(max_spans=0)
         self.cache = EngineCache(max_entries=cache_entries, max_bytes=cache_bytes)
         self.pool = WorkerPool(
             cache=self.cache, workers=workers, queue_size=queue_size, store=store

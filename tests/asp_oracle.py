@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from repro.core.criticality import static_criticality
 from repro.core.heuristics import BaselinePolicy, DCContext, DCPolicy
 from repro.core.schedule import Assignment, Schedule
-from repro.core.scheduler import _DEADLINE_GUARD, ListScheduler, _criticality
+from repro.core.scheduler import _DEADLINE_GUARD, ListScheduler
 from repro.errors import DeadlineMissError, InfeasibleAllocationError
 from repro.library.bus import CommunicationModel, zero_cost_comm
 from repro.library.pe import Architecture
@@ -54,7 +55,12 @@ class OracleScheduler(ListScheduler):
         self.pe_to_block = dict(pe_to_block) if pe_to_block else None
         self.deadline_guard = float(deadline_guard)
         self.comm = comm if comm is not None else zero_cost_comm()
-        self._sc, self._downstream = _criticality(graph, library)
+        self._sc = static_criticality(graph, library)
+        # critical path left after each task, for the deadline guard
+        self._downstream = {
+            name: self._sc[name] - library.mean_wcet(graph.task(name))
+            for name in graph.task_names()
+        }
         self._graph_order = {name: i for i, name in enumerate(graph.task_names())}
         self._pe_order = {pe.name: i for i, pe in enumerate(architecture)}
         # pre-resolve per-task (pe_name, wcet, power) candidate rows in

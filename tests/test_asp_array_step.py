@@ -7,7 +7,9 @@ returns ``None``.  ``asp_oracle.OracleScheduler`` is the per-candidate
 loop it replaced.  These tests hold the two equal on schedules, run
 statistics, thermal-model counters and the contexts a user policy sees,
 and hold the array thermal queries and step hooks bit-identical to their
-per-candidate forms.
+per-candidate forms.  They also pin the scheduler's one winner rule
+(``_winner``) and the defaults that let a constant policy define only
+``static_penalty``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,13 @@ from repro.core.heuristics import (
     ThermalPolicy,
     policy_by_name,
 )
-from repro.core.scheduler import ListScheduler, _hook_is_current
+from repro.core.scheduler import (
+    ListScheduler,
+    _hook_is_current,
+    _lockstep_capable,
+    _winner,
+    screen_allocations,
+)
 from repro.cosynth.allocation import feasible_allocations
 from repro.errors import InfeasibleAllocationError, UnknownTaskTypeError
 from repro.floorplan.geometry import Floorplan
@@ -228,7 +236,14 @@ class TestStepHooks:
         assert not _hook_is_current(RecordingThermalPolicy(), "step_penalty")
 
     def test_base_hook_defers_to_penalty(self):
-        assert DCPolicy().step_penalty(None) is None
+        accumulator = PowerAccumulator(["pe0"])
+        values = np.ones(2)
+        step = DCStep(
+            task=np.arange(2), pe=np.zeros(2, dtype=int), wcet=values,
+            power=values, energy=values, ready_time=values, start=values,
+            finish=values, horizon=values, accumulator=accumulator,
+        )
+        assert DCPolicy().step_penalty(step) is None
 
 
 # ----------------------------------------------------------------------
@@ -316,6 +331,113 @@ def test_step_hooks_equal_per_candidate_penalties(state):
                                       step.energy.tolist(), horizon.tolist())
         ]
         assert _same_bits(hooked, each), name
+
+
+# ----------------------------------------------------------------------
+# the shared rule: constant policies and the winner
+# ----------------------------------------------------------------------
+class StaticOnlyPolicy(DCPolicy):
+    """A user policy that defines only ``static_penalty``."""
+
+    name = "static-only"
+
+    def static_penalty(self, wcet, power):
+        return self.weight * (wcet + 3.0 * power)
+
+
+class SpelledOutPolicy(DCPolicy):
+    """:class:`StaticOnlyPolicy`'s formula as a per-candidate ``penalty``:
+    the oracle's reading of it."""
+
+    name = "spelled-out"
+
+    def penalty(self, ctx: DCContext) -> float:
+        return self.weight * (ctx.wcet + 3.0 * ctx.power)
+
+
+class TestStaticOnlyPolicy:
+    """``penalty``, ``step_penalty`` and lockstep screening all default to
+    ``static_penalty``, and each equals the per-candidate oracle."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        graph = generate_family_graph("layered", tasks=40, seed=1)
+        library = library_for_graph(graph)
+        allocations = feasible_allocations(graph, library, default_catalogue(), 3, 2)
+        return graph, library, allocations
+
+    def test_every_hook_is_current(self):
+        policy = StaticOnlyPolicy()
+        assert _hook_is_current(policy, "step_penalty")
+        assert _lockstep_capable(policy)
+        assert not _hook_is_current(SpelledOutPolicy(), "step_penalty")
+
+    @settings(max_examples=40, deadline=None)
+    @given(state=query_states())
+    def test_penalty_and_step_penalty_equal_the_formula(self, state):
+        _, accumulator, _, pe, wcet, power, horizon = state
+        zeros = np.zeros(len(pe))
+        step = DCStep(
+            task=zeros.astype(int), pe=pe, wcet=wcet, power=power,
+            energy=wcet * power, ready_time=zeros, start=zeros, finish=zeros,
+            horizon=horizon, accumulator=accumulator,
+        )
+        policy, spelled = StaticOnlyPolicy(0.7), SpelledOutPolicy(0.7)
+        names = accumulator.pe_names()
+        contexts = [
+            DCContext(
+                task_name="t", pe_name=names[p], wcet=w, power=pw, energy=w * pw,
+                ready_time=0.0, start=0.0, finish=0.0, accumulator=accumulator,
+                horizon=h,
+            )
+            for p, w, pw, h in zip(pe.tolist(), wcet.tolist(), power.tolist(),
+                                   horizon.tolist())
+        ]
+        want = [spelled.penalty(ctx) for ctx in contexts]
+        assert _same_bits([policy.penalty(ctx) for ctx in contexts], want)
+        assert _same_bits(policy.step_penalty(step), want)
+
+    def test_runs_equal_the_per_candidate_oracle(self, workload):
+        graph, library, allocations = workload
+        for architecture in (default_platform(), *allocations[:6]):
+            scheduler = ListScheduler(graph, architecture, library)
+            got = scheduler.run(StaticOnlyPolicy()).assignments()
+            oracle = OracleScheduler(graph, architecture, library)
+            assert got == oracle.run(SpelledOutPolicy()).assignments()
+
+    def test_lockstep_screening_equals_the_per_candidate_oracle(self, workload):
+        graph, library, allocations = workload
+        screened = screen_allocations(graph, library, allocations, StaticOnlyPolicy())
+        assert len(screened) == len(allocations)
+        for schedule, architecture in zip(screened, allocations):
+            oracle = OracleScheduler(graph, architecture, library)
+            assert list(schedule) == list(oracle.run(SpelledOutPolicy()))
+
+
+class TestWinner:
+    """The one winner rule: exact max DC, then earliest finish, then the
+    smallest row, whatever order the candidates come in."""
+
+    @staticmethod
+    def winner(dc, finish, rows):
+        return _winner(np.array(dc), np.array(finish), np.array(rows))
+
+    def test_max_dc_wins_outright(self):
+        assert self.winner([1.0, 3.0, 2.0], [0.0, 9.0, 1.0], [0, 1, 2]) == 1
+
+    def test_dc_tie_goes_to_the_earliest_finish(self):
+        assert self.winner([2.0, 2.0, 2.0, 1.0], [5.0, 4.0, 6.0, 0.0], [0, 1, 2, 3]) == 1
+
+    def test_full_tie_goes_to_the_smallest_row(self):
+        # rows out of order: position 2 holds the smallest row
+        assert self.winner([2.0, 2.0, 2.0], [4.0, 4.0, 4.0], [9, 5, 3]) == 2
+        assert self.winner([2.0, 2.0, 2.0, 2.0], [7.0, 4.0, 4.0, 3.5], [0, 8, 6, 9]) == 3
+        assert self.winner([2.0, 2.0, 2.0, 2.0], [7.0, 4.0, 4.0, 5.0], [0, 8, 6, 1]) == 2
+
+    def test_signed_zeros_tie(self):
+        assert self.winner([0.0, -0.0], [5.0, 3.0], [0, 1]) == 1
+        assert self.winner([-0.0, 0.0], [3.0, 3.0], [4, 2]) == 1
+        assert self.winner([-0.0, 0.0, -1e-300], [3.0, 3.0, 0.0], [1, 2, 0]) == 0
 
 
 # ----------------------------------------------------------------------

@@ -426,36 +426,60 @@ class TestServeObs:
         from repro.serve.server import ServeDaemon
 
         before = get_recorder()
+        with capture() as recorder:
+            with ServeDaemon(port=0, workers=2) as daemon:
+                assert get_recorder() is recorder  # the caller's, kept as is
+                client = ServeClient(daemon.url, timeout_s=60.0)
+                first = client.submit(SPEC, store=False)
+                second = client.submit(SPEC, store=False)
+                spans = recorder.export_spans()
+                requests = [s for s in spans if s["name"] == "serve.request"]
+                queues = [s for s in spans if s["name"] == "serve.queue"]
+                assert {s["trace"] for s in requests} == {
+                    first["request_id"], second["request_id"]
+                }
+                assert len(requests) == 2 and len(queues) == 2
+                assert all(
+                    s["thread"].startswith("serve-worker-") for s in requests
+                )
+                for queue_span in queues:
+                    parent = next(
+                        s for s in requests if s["trace"] == queue_span["trace"]
+                    )
+                    assert queue_span["parent"] == parent["id"]
+                flows = [s for s in spans if s["name"] == "flow"]
+                assert {s["parent"] for s in flows} == {s["id"] for s in requests}
+
+                text = client.metrics()
+                assert "repro_serve_http_requests 2" in text
+                assert "repro_serve_jobs_completed 2" in text
+                assert "repro_serve_request_latency_s_count 2" in text
+                assert "repro_serve_queue_depth 0" in text
+                assert "repro_serve_workers 2" in text
+            assert get_recorder() is recorder
+        assert get_recorder() is before
+
+    def test_daemon_owned_recorder_keeps_no_spans(self):
+        """The recorder a daemon enables itself feeds /metrics only: no
+        endpoint exports spans, so it must not buffer them."""
+        from repro.serve.client import ServeClient
+        from repro.serve.server import ServeDaemon
+
+        before = get_recorder()
+        assert not before.enabled
+        requests = 5
         with ServeDaemon(port=0, workers=2) as daemon:
-            client = ServeClient(daemon.url, timeout_s=60.0)
-            first = client.submit(SPEC, store=False)
-            second = client.submit(SPEC, store=False)
             recorder = get_recorder()
             assert recorder.enabled
-            spans = recorder.export_spans()
-            requests = [s for s in spans if s["name"] == "serve.request"]
-            queues = [s for s in spans if s["name"] == "serve.queue"]
-            assert {s["trace"] for s in requests} == {
-                first["request_id"], second["request_id"]
-            }
-            assert len(requests) == 2 and len(queues) == 2
-            assert all(
-                s["thread"].startswith("serve-worker-") for s in requests
-            )
-            for queue_span in queues:
-                parent = next(
-                    s for s in requests if s["trace"] == queue_span["trace"]
-                )
-                assert queue_span["parent"] == parent["id"]
-            flows = [s for s in spans if s["name"] == "flow"]
-            assert {s["parent"] for s in flows} == {s["id"] for s in requests}
-
+            client = ServeClient(daemon.url, timeout_s=60.0)
+            for _ in range(requests):
+                client.submit(SPEC, store=False)
+            assert recorder.export_spans() == []
+            assert recorder.dropped >= 2 * requests  # spans were opened
             text = client.metrics()
-            assert "repro_serve_http_requests 2" in text
-            assert "repro_serve_jobs_completed 2" in text
-            assert "repro_serve_request_latency_s_count 2" in text
-            assert "repro_serve_queue_depth 0" in text
-            assert "repro_serve_workers 2" in text
+            assert f"repro_serve_http_requests {requests}" in text
+            assert f"repro_serve_jobs_completed {requests}" in text
+            assert f"repro_serve_request_latency_s_count {requests}" in text
         assert get_recorder() is before
 
     def test_obs_false_daemon_serves_empty_metrics(self):
