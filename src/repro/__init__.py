@@ -216,7 +216,9 @@ from .results import (
     stream_records,
 )
 
-__version__ = "2.0.0"
+#: Stamped into batch-cache pickles: bump it whenever a pickled type
+#: changes layout, so a pickle of the old layout is a cache miss.
+__version__ = "2.1.0"
 
 __all__ = [
     "__version__",

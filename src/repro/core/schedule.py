@@ -1,7 +1,8 @@
 """Schedules: the output of the allocation-and-scheduling procedure.
 
 A :class:`Schedule` is an immutable-ish record of committed
-:class:`Assignment` s (task → PE with start/end times and power), plus the
+:class:`Assignment` s (task → PE with start/end times and power), held as
+columns in placement order, plus the
 derived quantities every experiment reports: makespan, deadline slack,
 per-PE load, average powers, and the flat power intervals consumed by
 :class:`repro.power.trace.PowerTrace`.
@@ -10,7 +11,8 @@ per-PE load, average powers, and the flat power intervals consumed by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from operator import lt
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import SchedulingError
 from ..library.pe import Architecture
@@ -19,6 +21,16 @@ from ..power.trace import PowerTrace
 from ..taskgraph.graph import TaskGraph
 
 __all__ = ["Assignment", "Schedule"]
+
+
+def _check_row(task: str, start: float, end: float, power: float) -> None:
+    """Reject one placement as :class:`Assignment` does."""
+    if end <= start:
+        raise SchedulingError(f"assignment of {task!r}: end {end} <= start {start}")
+    if start < 0.0:
+        raise SchedulingError(f"assignment of {task!r}: negative start")
+    if power < 0.0:
+        raise SchedulingError(f"assignment of {task!r}: negative power")
 
 
 @dataclass(frozen=True)
@@ -32,14 +44,7 @@ class Assignment:
     power: float
 
     def __post_init__(self) -> None:
-        if self.end <= self.start:
-            raise SchedulingError(
-                f"assignment of {self.task!r}: end {self.end} <= start {self.start}"
-            )
-        if self.start < 0.0:
-            raise SchedulingError(f"assignment of {self.task!r}: negative start")
-        if self.power < 0.0:
-            raise SchedulingError(f"assignment of {self.task!r}: negative power")
+        _check_row(self.task, self.start, self.end, self.power)
 
     @property
     def duration(self) -> float:
@@ -53,7 +58,13 @@ class Assignment:
 
 
 class Schedule:
-    """A complete mapping + timing of a task graph onto an architecture."""
+    """A complete mapping + timing of a task graph onto an architecture.
+
+    The placements are stored as columns — task, PE, start, end and power
+    lists in placement order — and an :class:`Assignment` is built only
+    when a caller reads one.  Energies are ``power × (end − start)`` per
+    row, summed with builtin ``sum`` in placement order.
+    """
 
     def __init__(
         self,
@@ -62,21 +73,76 @@ class Schedule:
         assignments: Iterable[Assignment],
         policy_name: str = "unknown",
     ):
+        rows = list(assignments)
+        self._adopt(graph, architecture, policy_name, *(
+            [getattr(a, field) for a in rows]
+            for field in ("task", "pe", "start", "end", "power")
+        ))
+
+    @classmethod
+    def _from_columns(
+        cls,
+        graph: TaskGraph,
+        architecture: Architecture,
+        policy_name: str,
+        tasks: List[str],
+        pes: List[str],
+        starts: List[float],
+        ends: List[float],
+        powers: List[float],
+    ) -> "Schedule":
+        """A schedule adopting the given column lists (placement order).
+
+        Every row is checked as :class:`Assignment` checks it, first bad
+        row first, before the tasks are checked for repeats — the order
+        in which a list of assignments would fail.
+        """
+        # fast accept; NaN or a bad row fails it and goes to the row check
+        if tasks and not (
+            all(map(lt, starts, ends)) and min(starts) >= 0.0 and min(powers) >= 0.0
+        ):
+            for row in zip(tasks, starts, ends, powers):
+                _check_row(*row)
+        schedule = object.__new__(cls)
+        schedule._adopt(
+            graph, architecture, policy_name, tasks, pes, starts, ends, powers
+        )
+        return schedule
+
+    def _adopt(
+        self,
+        graph: TaskGraph,
+        architecture: Architecture,
+        policy_name: str,
+        tasks: List[str],
+        pes: List[str],
+        starts: List[float],
+        ends: List[float],
+        powers: List[float],
+    ) -> None:
         self.graph = graph
         self.architecture = architecture
         self.policy_name = policy_name
-        self._assignments: Dict[str, Assignment] = {}
-        for assignment in assignments:
-            if assignment.task in self._assignments:
-                raise SchedulingError(f"task {assignment.task!r} assigned twice")
-            self._assignments[assignment.task] = assignment
+        self._row: Dict[str, int] = {}
+        for row, task in enumerate(tasks):
+            if task in self._row:
+                raise SchedulingError(f"task {task!r} assigned twice")
+            self._row[task] = row
+        self._task, self._pe = tasks, pes
+        self._start, self._end, self._power = starts, ends, powers
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._assignments)
+        return len(self._task)
 
-    def __iter__(self):
-        return iter(self._assignments.values())
+    def _assignment_at(self, row: int) -> Assignment:
+        return Assignment(
+            self._task[row], self._pe[row], self._start[row], self._end[row],
+            self._power[row],
+        )
+
+    def __iter__(self) -> Iterator[Assignment]:
+        return map(self._assignment_at, range(len(self._task)))
 
     def __repr__(self) -> str:
         return (
@@ -88,19 +154,24 @@ class Schedule:
     def assignment(self, task: str) -> Assignment:
         """The assignment of *task*."""
         try:
-            return self._assignments[task]
+            return self._assignment_at(self._row[task])
         except KeyError:
             raise SchedulingError(f"task {task!r} is not scheduled")
 
+    def _sorted_rows(self) -> List[int]:
+        """Rows sorted by (start, task name)."""
+        starts, tasks = self._start, self._task
+        return sorted(range(len(tasks)), key=lambda row: (starts[row], tasks[row]))
+
     def assignments(self) -> List[Assignment]:
         """All assignments, sorted by (start, task name)."""
-        return sorted(self._assignments.values(), key=lambda a: (a.start, a.task))
+        return [self._assignment_at(row) for row in self._sorted_rows()]
 
     def pe_assignments(self, pe: str) -> List[Assignment]:
         """Assignments on one PE, sorted by start time."""
         self.architecture.pe(pe)
         return sorted(
-            (a for a in self._assignments.values() if a.pe == pe),
+            (a for a in self if a.pe == pe),
             key=lambda a: a.start,
         )
 
@@ -110,9 +181,9 @@ class Schedule:
     @property
     def makespan(self) -> float:
         """Completion time of the last task."""
-        if not self._assignments:
+        if not self._end:
             return 0.0
-        return max(a.end for a in self._assignments.values())
+        return max(self._end)
 
     @property
     def meets_deadline(self) -> bool:
@@ -124,30 +195,37 @@ class Schedule:
         """Deadline minus makespan (negative when the deadline is missed)."""
         return self.graph.deadline - self.makespan
 
+    def _energies(self) -> List[float]:
+        """Every row's dynamic energy, ``power × (end − start)``."""
+        return [
+            power * (end - start)
+            for start, end, power in zip(self._start, self._end, self._power)
+        ]
+
     @property
     def total_energy(self) -> float:
         """Total dynamic energy over all assignments (J)."""
-        return sum(a.energy for a in self._assignments.values())
+        return sum(self._energies())
 
     def pe_energy(self) -> Dict[str, float]:
         """Dynamic energy per PE (J), zero-filled for idle PEs."""
         energy = {pe.name: 0.0 for pe in self.architecture}
-        for assignment in self._assignments.values():
-            energy[assignment.pe] += assignment.energy
+        for pe, value in zip(self._pe, self._energies()):
+            energy[pe] += value
         return energy
 
     def pe_busy_time(self) -> Dict[str, float]:
         """Busy time per PE, zero-filled for idle PEs."""
         busy = {pe.name: 0.0 for pe in self.architecture}
-        for assignment in self._assignments.values():
-            busy[assignment.pe] += assignment.duration
+        for pe, start, end in zip(self._pe, self._start, self._end):
+            busy[pe] += end - start
         return busy
 
     def pe_task_counts(self) -> Dict[str, int]:
         """Number of tasks per PE."""
         counts = {pe.name: 0 for pe in self.architecture}
-        for assignment in self._assignments.values():
-            counts[assignment.pe] += 1
+        for pe in self._pe:
+            counts[pe] += 1
         return counts
 
     def average_powers(
@@ -188,7 +266,8 @@ class Schedule:
     def power_intervals(self) -> List[Tuple[float, float, str, float]]:
         """Flat ``(start, end, pe, power)`` intervals for PowerTrace."""
         return [
-            (a.start, a.end, a.pe, a.power) for a in self.assignments()
+            (self._start[row], self._end[row], self._pe[row], self._power[row])
+            for row in self._sorted_rows()
         ]
 
     def power_trace(self, include_idle: bool = True) -> PowerTrace:
@@ -215,8 +294,9 @@ class Schedule:
         * with *library*, each assignment's duration equals the WCET and its
           power equals the WCPC of the (task, PE) pair.
         """
+        assignments = {a.task: a for a in self}
         graph_tasks = set(self.graph.task_names())
-        scheduled = set(self._assignments)
+        scheduled = set(assignments)
         missing = graph_tasks - scheduled
         if missing:
             raise SchedulingError(f"unscheduled tasks: {sorted(missing)}")
@@ -224,8 +304,8 @@ class Schedule:
         if extra:
             raise SchedulingError(f"assignments for unknown tasks: {sorted(extra)}")
 
-        for assignment in self._assignments.values():
-            self.architecture.pe(assignment.pe)  # raises if unknown
+        for pe_name in self._pe:
+            self.architecture.pe(pe_name)  # raises if unknown
 
         for pe in self.architecture:
             timeline = self.pe_assignments(pe.name)
@@ -238,8 +318,8 @@ class Schedule:
                     )
 
         for edge in self.graph.edges():
-            src = self._assignments[edge.src]
-            dst = self._assignments[edge.dst]
+            src = assignments[edge.src]
+            dst = assignments[edge.dst]
             if dst.start < src.end - 1e-9:
                 raise SchedulingError(
                     f"precedence violation: {edge.dst!r} starts at {dst.start} "
@@ -247,7 +327,7 @@ class Schedule:
                 )
 
         if library is not None:
-            for assignment in self._assignments.values():
+            for assignment in assignments.values():
                 task = self.graph.task(assignment.task)
                 pe = self.architecture.pe(assignment.pe)
                 wcet = library.wcet(task, pe)

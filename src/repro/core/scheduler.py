@@ -54,7 +54,7 @@ from ..thermal.hotspot import HotSpotModel
 from ..thermal.query import ScheduledThermalQuery
 from .criticality import static_criticality
 from .heuristics import BaselinePolicy, DCContext, DCPolicy, DCStep
-from .schedule import Assignment, Schedule
+from .schedule import Schedule
 
 __all__ = ["ListScheduler", "screen_allocations"]
 
@@ -361,7 +361,12 @@ class ListScheduler:
         # per-candidate-solve scheduler.
         near_eps = 1e-6 + getattr(policy, "weight", 0.0) * 1e-8
         guard, deadline = self.deadline_guard, graph.deadline
-        assignments: List[Assignment] = []
+        # the schedule's columns, in placement order
+        placed_task: List[str] = []
+        placed_pe: List[str] = []
+        starts: List[float] = []
+        ends: List[float] = []
+        powers: List[float] = []
         current_makespan = 0.0
         steps = 0
         candidates_evaluated = 0
@@ -409,7 +414,11 @@ class ListScheduler:
             row, t, p = int(rows[i]), int(task[i]), int(pe[i])
             begin, done = float(start[i]), float(end[i])
             power, duration = float(self._row_power[row]), float(self._row_wcet[row])
-            assignments.append(Assignment(names[t], pe_names[p], begin, done, power))
+            placed_task.append(names[t])
+            placed_pe.append(pe_names[p])
+            starts.append(begin)
+            ends.append(done)
+            powers.append(power)
             avail[p] = done
             finish[t] = done
             pe_of[t] = p
@@ -437,7 +446,10 @@ class ListScheduler:
             ),
             thermal_exact_requeries=exact_requeries,
         )
-        schedule = Schedule(graph, self.architecture, assignments, policy.name)
+        schedule = Schedule._from_columns(
+            graph, self.architecture, policy.name,
+            placed_task, placed_pe, starts, ends, powers,
+        )
         if check_deadline and not schedule.meets_deadline:
             raise DeadlineMissError(schedule.makespan, graph.deadline)
         return schedule
@@ -576,8 +588,9 @@ def _screen_lockstep(
         waiting -= released
         ready |= released & (waiting == 0)
 
-    # one allocation's rows at a time, so the Python floats never all
-    # exist at once; powers are shared floats, as in ListScheduler rows
+    # each allocation's placement arrays become its schedule's columns,
+    # one allocation at a time, so the Python floats never all exist at
+    # once; powers are shared floats, as in ListScheduler rows
     power_rows = power_table.tolist()
     schedules = []
     for a, architecture in enumerate(allocations):
@@ -585,9 +598,12 @@ def _screen_lockstep(
         types = column[a].tolist()
         task_at, slot_at = placed[:, a].tolist()
         starts, ends = timing[:, a].tolist()
-        assignments = [
-            Assignment(names[t], pe_names[s], begin, end, power_rows[t][types[s]])
-            for t, s, begin, end in zip(task_at, slot_at, starts, ends)
-        ]
-        schedules.append(Schedule(graph, architecture, assignments, policy.name))
+        schedules.append(Schedule._from_columns(
+            graph, architecture, policy.name,
+            [names[t] for t in task_at],
+            [pe_names[s] for s in slot_at],
+            starts,
+            ends,
+            [power_rows[t][types[s]] for t, s in zip(task_at, slot_at)],
+        ))
     return schedules

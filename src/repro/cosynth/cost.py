@@ -11,8 +11,9 @@ The outer loop needs two scalars:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..analysis.metrics import ScheduleEvaluation
 from ..core.schedule import Schedule
@@ -26,6 +27,21 @@ __all__ = ["ScreeningCost", "FinalCost", "screening_cost", "thermal_final_cost",
 _DEADLINE_PENALTY = 1e6
 
 
+def _check_weights(cost: object, fields: Tuple[str, ...]) -> None:
+    """Reject a negative or non-finite weight, naming its field.
+
+    A NaN weight would make every cost NaN, and ``(cost, rank)``
+    comparisons would then keep whichever candidate came first.
+    """
+    for field in fields:
+        value = getattr(cost, field)
+        if not 0.0 <= value < math.inf:
+            raise CoSynthesisError(
+                f"{type(cost).__name__}.{field} must be finite and >= 0, "
+                f"got {value}"
+            )
+
+
 @dataclass(frozen=True)
 class ScreeningCost:
     """Cheap allocation-ranking cost (no thermal model).
@@ -37,6 +53,9 @@ class ScreeningCost:
 
     energy_weight: float = 1.0
     monetary_weight: float = 0.1
+
+    def __post_init__(self) -> None:
+        _check_weights(self, ("energy_weight", "monetary_weight"))
 
     def __call__(self, schedule: Schedule) -> float:
         cost = 0.0
@@ -62,12 +81,7 @@ class FinalCost:
     power_weight: float = 0.0
 
     def __post_init__(self) -> None:
-        if (
-            self.max_temp_weight < 0.0
-            or self.avg_temp_weight < 0.0
-            or self.power_weight < 0.0
-        ):
-            raise CoSynthesisError("final-cost weights must be >= 0")
+        _check_weights(self, ("max_temp_weight", "avg_temp_weight", "power_weight"))
 
     def __call__(self, evaluation: ScheduleEvaluation) -> float:
         cost = 0.0

@@ -226,8 +226,9 @@ class CoSynthesisFramework:
         models: Dict[tuple, HotSpotModel] = {}
 
         def model_for(plan: Floorplan) -> HotSpotModel:
-            # block names and rects, in order: the node order follows them
-            key = tuple((block.name, block.rect) for block in plan)
+            # block names and x/y/w/h columns, in order: the node order
+            # follows them (no NaN gets into a plan, so equal plans match)
+            key = tuple(map(tuple, plan._columns()))
             model = models.get(key)
             if model is None:
                 model = models[key] = HotSpotModel(plan, self.package)

@@ -72,16 +72,18 @@ class FloorplanObjective:
         """Evaluate the cost of *plan* (lower is better)."""
         cost = 0.0
         # one bounding-box scan serves the area and the aspect term
-        box = plan.bounding_box() if len(plan) else None
+        width, height = plan.die_size()  # (0, 0) for an empty plan
         if self.area_weight:
-            cost += self.area_weight * (box.area if box is not None else 0.0)
+            cost += self.area_weight * (width * height)
         if self.temp_weight:
             cost += self.temp_weight * self.temp_evaluator(plan)
         if self.wirelength_weight and self.nets:
             cost += self.wirelength_weight * plan.total_wirelength(self.nets)
         if self.aspect_weight:
-            box = box or plan.bounding_box()  # an empty plan raises here
-            excess = max(0.0, box.aspect_ratio - self.aspect_limit)
+            if not len(plan):
+                plan.bounding_box()  # raises: an empty plan has no aspect ratio
+            aspect = max(width, height) / min(width, height)
+            excess = max(0.0, aspect - self.aspect_limit)
             cost += self.aspect_weight * excess * excess
         return cost
 

@@ -31,7 +31,7 @@ from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Set, T
 
 from ..errors import SlicingError
 from ..rng import SeedLike, _choice, _randbelow, _shuffle, as_random
-from .geometry import Block, Floorplan, Rect
+from .geometry import Floorplan
 
 __all__ = ["PolishExpression", "OPERATORS"]
 
@@ -207,12 +207,14 @@ def _evaluate(
     node just before it (postfix); its left child comes off the stack.  A
     bottom-up pass sizes every subtree; a top-down pass (descending
     positions visit parents before children) places them, the left child
-    at the parent's corner.
+    at the parent's corner.  The leaves' names and rectangles, in token
+    order, become the plan's columns.
     """
     count = len(tokens)
     widths = [0.0] * count
     heights = [0.0] * count
     lefts = [-1] * count  # -1: a leaf
+    leaves: List[int] = []
     stack: List[int] = []
     for node, token in enumerate(tokens):
         if token in OPERATORS:
@@ -224,10 +226,12 @@ def _evaluate(
             else:
                 widths[node] = max(widths[left], widths[right])
                 heights[node] = heights[left] + heights[right]
-        elif token in rotated:
-            heights[node], widths[node] = dims[token]
         else:
-            widths[node], heights[node] = dims[token]
+            leaves.append(node)
+            if token in rotated:
+                heights[node], widths[node] = dims[token]
+            else:
+                widths[node], heights[node] = dims[token]
         stack.append(node)
     stack.pop()
     if stack:
@@ -247,12 +251,10 @@ def _evaluate(
         else:
             ys[right] += heights[left]
 
-    plan = Floorplan()
-    for node, token in enumerate(tokens):
-        if lefts[node] < 0:
-            rect = Rect(xs[node], ys[node], widths[node], heights[node])
-            plan.add(Block(token, rect))
-    return plan
+    columns = (tokens, xs, ys, widths, heights)
+    return Floorplan._from_columns(
+        *([column[node] for node in leaves] for column in columns)
+    )
 
 
 class PolishExpression:

@@ -43,8 +43,6 @@ daemon passes its own.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
@@ -58,7 +56,7 @@ from ..obs import get_recorder
 from ..thermal.hotspot import HotSpotModel
 from ..thermal.package import default_package
 from .registry import FLOORPLANNERS, THERMAL_SOLVERS
-from .spec import UNCACHEABLE_GRAPH_KINDS, FloorplanSpec, FlowSpec
+from .spec import UNCACHEABLE_GRAPH_KINDS, FloorplanSpec, FlowSpec, _digest
 
 __all__ = [
     "DEFAULT_MAX_ENTRIES",
@@ -77,14 +75,9 @@ __all__ = [
 #: architectures comfortably fit in memory.
 DEFAULT_MAX_ENTRIES = 32
 
-#: Hash prefix length, matching :func:`repro.flow.spec.spec_hash`.
-_HASH_LEN = 20
-
-
 def subspec_hash(payload: Any) -> str:
     """Content hash of a JSON-ready payload (sorted keys, SHA-256[:20])."""
-    text = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:_HASH_LEN]
+    return _digest(payload)
 
 
 def _resolved_floorplan_spec(spec: FlowSpec) -> FloorplanSpec:
@@ -104,18 +97,20 @@ def floorplan_subspec_hash(spec: FlowSpec) -> str:
     resolved floorplan spec (layout algorithm + its seed/GA budget), and
     the catalogue (it resolves the PE type names to physical PEs).
     """
+    payload = spec._canonical
+    floorplan = payload["floorplan"] or _resolved_floorplan_spec(spec).to_dict()
     return subspec_hash(
         {
-            "architecture": spec.architecture.to_dict(),
-            "floorplan": _resolved_floorplan_spec(spec).to_dict(),
-            "catalogue": spec.library.catalogue,
+            "architecture": payload["architecture"],
+            "floorplan": floorplan,
+            "catalogue": payload["library"]["catalogue"],
         }
     )
 
 
 def solver_subspec_hash(spec: FlowSpec) -> str:
     """Hash of the thermal solver knobs (solver name + ambient)."""
-    return subspec_hash(spec.thermal.to_dict())
+    return subspec_hash(spec._canonical["thermal"])
 
 
 def _workload_hash(graph_spec, library_spec, guard_probabilities) -> str:
@@ -135,8 +130,13 @@ def library_subspec_hash(spec: FlowSpec) -> str:
     seed), so the graph source is part of the library's identity, as are
     guard-probability overrides for conditional graphs.
     """
-    return _workload_hash(
-        spec.graph, spec.library, spec.conditional.guard_probabilities
+    payload = spec._canonical
+    return subspec_hash(
+        {
+            "graph": payload["graph"],
+            "library": payload["library"],
+            "guard_probabilities": payload["conditional"]["guard_probabilities"],
+        }
     )
 
 
@@ -260,8 +260,10 @@ class EngineCache:
     # -- the Flow cache hooks ------------------------------------------
     def workload_for(self, spec: FlowSpec) -> Tuple[Any, Any]:
         """The built ``(graph, library)`` pair for *spec*, warm or fresh."""
-        return self.workload(
-            spec.graph, spec.library, spec.conditional.guard_probabilities
+        cacheable = spec.graph.kind not in UNCACHEABLE_GRAPH_KINDS
+        return self._workload(
+            workload_cache_key(spec) if cacheable else None,
+            spec.graph, spec.library, spec.conditional.guard_probabilities,
         )
 
     def workload(
@@ -273,13 +275,23 @@ class EngineCache:
         content is invisible to the hash) build fresh every time and
         are counted as bypasses.
         """
+        cacheable = graph_spec.kind not in UNCACHEABLE_GRAPH_KINDS
+        return self._workload(
+            _workload_hash(graph_spec, library_spec, guard_probabilities)
+            if cacheable else None,
+            graph_spec, library_spec, guard_probabilities,
+        )
+
+    def _workload(
+        self, key: Optional[str], graph_spec, library_spec, guard_probabilities
+    ) -> Tuple[Any, Any]:
+        """:meth:`workload` under a precomputed *key*; ``None`` bypasses."""
         from ..scenarios.workloads import _construct_workload  # late: cyclic
 
-        if graph_spec.kind in UNCACHEABLE_GRAPH_KINDS:
+        if key is None:
             with self._lock:
                 self.workload_bypasses += 1
             return _construct_workload(graph_spec, library_spec, guard_probabilities)
-        key = _workload_hash(graph_spec, library_spec, guard_probabilities)
         pair = self.workloads.get(key)
         if pair is None:
             pair = _construct_workload(graph_spec, library_spec, guard_probabilities)

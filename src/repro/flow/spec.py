@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import FlowSpecError, TaskGraphError
@@ -677,6 +678,12 @@ class FlowSpec:
                 kwargs[name] = spec_cls.from_dict(value)
         return cls(**kwargs)
 
+    @cached_property
+    def _canonical(self) -> Dict[str, Any]:
+        """:meth:`to_dict`, built once per spec object: its hash and its
+        workload and platform cache keys all read it.  Read only."""
+        return self.to_dict()
+
     def to_json(self, indent: Optional[int] = None) -> str:
         """Canonical JSON (sorted keys, so equal specs hash identically)."""
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -696,10 +703,20 @@ class FlowSpec:
         return replace(self, **changes)
 
 
+#: ``json.dumps(payload, sort_keys=True)`` without a new encoder per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True)
+
+
+def _digest(payload: Any) -> str:
+    """SHA-256[:20] of *payload*'s canonical (sorted-key) JSON — every
+    spec and sub-spec digest."""
+    text = _CANONICAL.encode(payload)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:20]
+
+
 def spec_hash(spec: FlowSpec) -> str:
     """Stable content address of a spec (prefix of SHA-256 of its JSON)."""
-    digest = hashlib.sha256(spec.to_json().encode("utf-8")).hexdigest()
-    return digest[:20]
+    return _digest(spec._canonical)
 
 
 # ----------------------------------------------------------------------

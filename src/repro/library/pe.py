@@ -9,6 +9,7 @@ what the ASP scheduler and the floorplanner consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -51,18 +52,21 @@ class PEType:
     def __post_init__(self) -> None:
         if not self.name:
             raise LibraryError("PE type name must be non-empty")
-        if self.width_mm <= 0.0 or self.height_mm <= 0.0:
-            raise LibraryError(f"PE type {self.name!r}: dimensions must be positive")
-        if self.speed <= 0.0:
-            raise LibraryError(f"PE type {self.name!r}: speed must be positive")
-        if self.power_scale <= 0.0:
-            raise LibraryError(
-                f"PE type {self.name!r}: power_scale must be positive"
-            )
-        if self.idle_power < 0.0:
-            raise LibraryError(f"PE type {self.name!r}: idle_power must be >= 0")
-        if self.cost < 0.0:
-            raise LibraryError(f"PE type {self.name!r}: cost must be >= 0")
+        # NaN fails every comparison, so each bound is written to hold
+        for field in ("width_mm", "height_mm", "speed", "power_scale"):
+            value = getattr(self, field)
+            if not 0.0 < value < math.inf:
+                raise LibraryError(
+                    f"PE type {self.name!r}: {field} must be positive and "
+                    f"finite, got {value}"
+                )
+        for field in ("idle_power", "cost"):
+            value = getattr(self, field)
+            if not 0.0 <= value < math.inf:
+                raise LibraryError(
+                    f"PE type {self.name!r}: {field} must be finite and >= 0, "
+                    f"got {value}"
+                )
 
     @property
     def area_mm2(self) -> float:

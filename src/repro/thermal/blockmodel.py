@@ -24,10 +24,10 @@ following the layer structure of HotSpot's block mode (Skadron et al.):
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ThermalError
-from ..floorplan.geometry import Floorplan
+from ..floorplan.geometry import Floorplan, _centre_distance, _shared_edge
 from ..thermal.materials import COPPER
 from ..units import MM, mm2_to_m2
 from .network import ThermalNetwork
@@ -91,10 +91,11 @@ def _periphery_conductance(
 
 
 def _lateral_conductances(
-    rect_a, rect_b, shared_mm: float, package: PackageConfig
+    distance_mm: float, shared_mm: float, package: PackageConfig
 ) -> Tuple[float, float]:
-    """(silicon, copper) lateral conductances for one abutting pair."""
-    distance_mm = max(rect_a.manhattan_distance(rect_b), 1e-6 / MM)
+    """(silicon, copper) lateral conductances for one abutting pair whose
+    centres are *distance_mm* apart (Manhattan)."""
+    distance_mm = max(distance_mm, 1e-6 / MM)
     silicon = package.lateral_conductance(shared_mm * MM, distance_mm * MM)
     copper = (
         COPPER.conductivity
@@ -105,61 +106,82 @@ def _lateral_conductances(
     return silicon, copper
 
 
+def _edge_terms(
+    floorplan: Floorplan, package: PackageConfig
+) -> List[Tuple[int, int, float]]:
+    """Every conductance term of the block model, read from the plan's
+    columns, as ``(node_a, node_b, conductance)`` in the order the model
+    adds them.
+
+    Nodes are indices: block ``i`` is node ``i``, its spreader cell node
+    ``n + i`` and the sink node ``2n`` (``n`` blocks).  A pair may get
+    more than one term (a cell's sink path and its periphery path); the
+    terms of a pair add up in this order.
+    """
+    names, xs, ys, ws, hs = floorplan._columns()
+    count = len(names)
+    sink = 2 * count
+    terms: List[Tuple[int, int, float]] = []
+
+    # vertical paths: block -> its spreader cell -> sink
+    for block, (w, h) in enumerate(zip(ws, hs)):
+        vertical, cell_to_sink = _vertical_conductances(w * h, package)
+        terms.append((block, count + block, vertical))
+        terms.append((count + block, sink, cell_to_sink))
+
+    # periphery paths: boundary cells spread outward through the copper
+    # overhang toward the sink; conductance scales with the exposed
+    # boundary, the perimeter not shared with any other block
+    contacts = floorplan._contacts()  # (i, j, length) rows, in pair order
+    shared = [0.0] * count
+    for i, j, contact in contacts:
+        shared[i] += contact
+        shared[j] += contact
+    overhang_m = _overhang_m(floorplan, package)
+    for block, (w, h, touching) in enumerate(zip(ws, hs, shared)):
+        perimeter = 2.0 * (w + h)
+        conductance = _periphery_conductance(
+            max(0.0, perimeter - touching), package, overhang_m
+        )
+        if conductance > 0.0:
+            terms.append((count + block, sink, conductance))
+
+    # lateral paths: silicon between abutting blocks, copper between their
+    # spreader cells
+    for i, j, shared_mm in contacts:
+        distance = _centre_distance(
+            xs[i], ys[i], ws[i], hs[i], xs[j], ys[j], ws[j], hs[j]
+        )
+        silicon, copper = _lateral_conductances(distance, shared_mm, package)
+        terms.append((i, j, silicon))
+        terms.append((count + i, count + j, copper))
+    return terms
+
+
+def _node_names(floorplan: Floorplan) -> List[str]:
+    """Node names in index order: blocks, their spreader cells, the sink."""
+    names = floorplan.block_names()
+    return names + [spreader_node(name) for name in names] + [SINK_NODE]
+
+
 def _edge_conductances(
     floorplan: Floorplan, package: PackageConfig
 ) -> Dict[Tuple[str, str], float]:
     """Every edge conductance of the block model, keyed by node-name pair.
 
     Keys are lexicographically ordered ``(a, b)`` name pairs; values
-    accumulate exactly the terms :func:`build_block_network` feeds to
-    ``ThermalNetwork.connect`` (in the same order, so the floats are
-    bit-identical).  This is the geometric half of the model —
-    :func:`block_network_delta` diffs two of these maps (or re-prices just
-    the moved blocks' terms) to derive a sparse conductance perturbation
-    without rebuilding a network.
+    accumulate the :func:`_edge_terms` that :func:`build_block_network`
+    accumulates per index pair, in the same order, so the floats are
+    bit-identical.  :func:`block_network_delta` diffs two of these maps
+    (or re-prices just the moved blocks' terms) to derive a sparse
+    conductance perturbation without rebuilding a network.
     """
+    nodes = _node_names(floorplan)
     edges: Dict[Tuple[str, str], float] = {}
-    adjacency = floorplan.adjacency()
-    blocks = floorplan.blocks()
-    cells = {block.name: spreader_node(block.name) for block in blocks}
-
-    def add(name_a: str, name_b: str, conductance: float) -> None:
-        key = (name_a, name_b) if name_a < name_b else (name_b, name_a)
+    for ia, ib, conductance in _edge_terms(floorplan, package):
+        a, b = nodes[ia], nodes[ib]
+        key = (a, b) if a < b else (b, a)
         edges[key] = edges.get(key, 0.0) + conductance
-
-    # vertical paths: block -> its spreader cell -> sink
-    for block in blocks:
-        vertical, cell_to_sink = _vertical_conductances(block.area, package)
-        add(block.name, cells[block.name], vertical)
-        add(cells[block.name], SINK_NODE, cell_to_sink)
-
-    # periphery paths: boundary cells spread outward through the copper
-    # overhang toward the sink; conductance scales with the exposed
-    # boundary, the perimeter not shared with any other block
-    shared = dict.fromkeys(cells, 0.0)
-    for (name_a, name_b), contact in adjacency.items():
-        shared[name_a] += contact
-        shared[name_b] += contact
-    overhang_m = _overhang_m(floorplan, package)
-    for block in blocks:
-        perimeter = 2.0 * (block.rect.w + block.rect.h)
-        conductance = _periphery_conductance(
-            max(0.0, perimeter - shared[block.name]), package, overhang_m
-        )
-        if conductance <= 0.0:
-            continue
-        add(cells[block.name], SINK_NODE, conductance)
-
-    # lateral paths: silicon between abutting blocks, copper between their
-    # spreader cells
-    rects = {block.name: block.rect for block in blocks}
-    for (name_a, name_b), shared_mm in adjacency.items():
-        silicon, copper = _lateral_conductances(
-            rects[name_a], rects[name_b], shared_mm, package
-        )
-        add(name_a, name_b, silicon)
-        add(cells[name_a], cells[name_b], copper)
-
     return edges
 
 
@@ -167,11 +189,9 @@ def _check_floorplan(floorplan: Floorplan) -> None:
     """Non-empty, no reserved block names, overlap-free."""
     if len(floorplan) == 0:
         raise ThermalError("cannot build a thermal model for an empty floorplan")
-    for block in floorplan:
-        if block.name == SINK_NODE or block.name.startswith(_SPREADER_PREFIX):
-            raise ThermalError(
-                f"floorplan uses reserved block name {block.name!r}"
-            )
+    for name in floorplan.block_names():
+        if name == SINK_NODE or name.startswith(_SPREADER_PREFIX):
+            raise ThermalError(f"floorplan uses reserved block name {name!r}")
     floorplan.validate()
 
 
@@ -190,8 +210,7 @@ def build_block_network(
     """
     _check_floorplan(floorplan)
     package = package or default_package()
-    names = floorplan.block_names()
-    nodes = names + [spreader_node(name) for name in names] + [SINK_NODE]
+    nodes = _node_names(floorplan)
     index = {name: slot for slot, name in enumerate(nodes)}
 
     total_area_m2 = mm2_to_m2(floorplan.block_area)
@@ -202,7 +221,8 @@ def build_block_network(
     # silicon nodes, then spreader cells with capacitance proportional to
     # covered area; the spare copper (periphery) capacitance is lumped
     # into the sink node
-    areas_m2 = [mm2_to_m2(block.area) for block in floorplan]
+    _, _, _, ws, hs = floorplan._columns()
+    areas_m2 = [mm2_to_m2(w * h) for w, h in zip(ws, hs)]
     capacitance = [package.block_capacitance(area) for area in areas_m2]
     capacitance += [
         package.spreader_capacitance() * min(1.0, area / spreader_area_m2)
@@ -215,18 +235,18 @@ def build_block_network(
     ambient = [0.0] * (len(nodes) - 1) + [1.0 / package.convection_resistance]
 
     # conduction edges — vertical, periphery, and lateral terms, assembled
-    # geometrically so the same helper can diff two floorplans
+    # geometrically so the same terms can diff two floorplans
     edges: Dict[Tuple[int, int], float] = {}
-    for (name_a, name_b), conductance in _edge_conductances(
-        floorplan, package
-    ).items():
+    for ia, ib, conductance in _edge_terms(floorplan, package):
+        key = (ia, ib) if ia < ib else (ib, ia)
+        edges[key] = edges.get(key, 0.0) + conductance
+    for (ia, ib), conductance in edges.items():
         if conductance <= 0.0:
+            name_a, name_b = sorted((nodes[ia], nodes[ib]))
             raise ThermalError(
                 f"conductance {name_a!r}-{name_b!r} must be positive, "
                 f"got {conductance}"
             )
-        ia, ib = index[name_a], index[name_b]
-        edges[(ia, ib) if ia < ib else (ib, ia)] = conductance
 
     network = ThermalNetwork._assembled(
         package.ambient_c, index, capacitance, ambient, edges
@@ -282,12 +302,12 @@ def _moved_block_delta(
 
     # vertical terms change only when a block's area changes (resize)
     for name in sorted(moved_set):
-        block_old = anchor.block(name)
-        block_new = candidate.block(name)
-        if block_old.area == block_new.area:
+        _, _, w_old, h_old = anchor._rect_of(name)
+        _, _, w_new, h_new = candidate._rect_of(name)
+        if w_old * h_old == w_new * h_new:
             continue
-        old_v, old_cs = _vertical_conductances(block_old.area, package)
-        new_v, new_cs = _vertical_conductances(block_new.area, package)
+        old_v, old_cs = _vertical_conductances(w_old * h_old, package)
+        new_v, new_cs = _vertical_conductances(w_new * h_new, package)
         bump(name, spreader_node(name), old_v, new_v)
         bump(spreader_node(name), SINK_NODE, old_cs, new_cs)
 
@@ -298,21 +318,17 @@ def _moved_block_delta(
         if pair[0] in moved_set or pair[1] in moved_set
     }
     new_pairs: Dict[Tuple[str, str], float] = {}
-    blocks = candidate.blocks()
+    names, xs, ys, ws, hs = candidate._columns()
     for name in sorted(moved_set):
-        rect = candidate.block(name).rect
-        for other in blocks:
-            if other.name == name:
+        x, y, w, h = candidate._rect_of(name)
+        for other, xo, yo, wo, ho in zip(names, xs, ys, ws, hs):
+            if other == name:
                 continue
-            if other.name in moved_set and other.name < name:
+            if other in moved_set and other < name:
                 continue  # moved-moved pairs priced once
-            contact = rect.shared_edge_length(other.rect)
+            contact = _shared_edge(x, y, x + w, y + h, xo, yo, xo + wo, yo + ho)
             if contact > _ADJACENCY_EPS:
-                key = (
-                    (name, other.name)
-                    if name < other.name
-                    else (other.name, name)
-                )
+                key = (name, other) if name < other else (other, name)
                 new_pairs[key] = contact
     for pair in sorted(set(old_pairs) | set(new_pairs)):
         name_a, name_b = pair
@@ -321,8 +337,9 @@ def _moved_block_delta(
         old_copper = anchor_edges.get(cell_pair, 0.0)
         if pair in new_pairs:
             new_silicon, new_copper = _lateral_conductances(
-                candidate.block(name_a).rect,
-                candidate.block(name_b).rect,
+                _centre_distance(
+                    *candidate._rect_of(name_a), *candidate._rect_of(name_b)
+                ),
                 new_pairs[pair],
                 package,
             )
@@ -350,10 +367,10 @@ def _moved_block_delta(
         for pair, contact in new_pairs.items():
             if name in pair:
                 shared_new += contact
-        rect_old = anchor.block(name).rect
-        rect_new = candidate.block(name).rect
-        exposed_old = max(0.0, 2.0 * (rect_old.w + rect_old.h) - shared_old)
-        exposed_new = max(0.0, 2.0 * (rect_new.w + rect_new.h) - shared_new)
+        _, _, w_old, h_old = anchor._rect_of(name)
+        _, _, w_new, h_new = candidate._rect_of(name)
+        exposed_old = max(0.0, 2.0 * (w_old + h_old) - shared_old)
+        exposed_new = max(0.0, 2.0 * (w_new + h_new) - shared_new)
         bump(
             spreader_node(name),
             SINK_NODE,
@@ -393,18 +410,11 @@ def block_network_delta(
     if set(anchor.block_names()) != set(candidate.block_names()):
         return None
     package = package or default_package()
-    moved_names = []
-    for name in anchor.block_names():
-        rect_a = anchor.block(name).rect
-        rect_b = candidate.block(name).rect
-        if (rect_a.x, rect_a.y, rect_a.w, rect_a.h) != (
-            rect_b.x,
-            rect_b.y,
-            rect_b.w,
-            rect_b.h,
-        ):
-            moved_names.append(name)
-    moved = tuple(moved_names)
+    moved = tuple(
+        name
+        for name in anchor.block_names()
+        if anchor._rect_of(name) != candidate._rect_of(name)
+    )
     if not moved:
         return {}
     base = (

@@ -93,3 +93,33 @@ class TestScreeningCost:
         schedule = ListScheduler(bm1, platform, bm1_library).run()
         cost = performance_screening_cost()(schedule)
         assert cost == pytest.approx(0.1 * 0.0 + 1.0 * platform.total_cost)
+
+
+class TestWeightValidation:
+    """Negative and non-finite weights are refused by name: a NaN weight
+    makes every cost NaN, and ranking by ``(cost, rank)`` then keeps
+    whichever candidate came first."""
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["energy_weight", "monetary_weight"])
+    def test_screening_cost(self, field, value):
+        with pytest.raises(CoSynthesisError) as excinfo:
+            ScreeningCost(**{field: value})
+        assert str(excinfo.value) == (
+            f"ScreeningCost.{field} must be finite and >= 0, got {value}"
+        )
+
+    @pytest.mark.parametrize("value", [-2.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["max_temp_weight", "avg_temp_weight", "power_weight"]
+    )
+    def test_final_cost(self, field, value):
+        with pytest.raises(CoSynthesisError) as excinfo:
+            FinalCost(**{field: value})
+        assert str(excinfo.value) == (
+            f"FinalCost.{field} must be finite and >= 0, got {value}"
+        )
+
+    def test_zero_weights_are_accepted(self):
+        assert ScreeningCost(energy_weight=0.0, monetary_weight=0.0).energy_weight == 0.0
+        assert FinalCost(0.0, 0.0, 0.0)(make_eval()) == 0.0

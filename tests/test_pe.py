@@ -29,6 +29,19 @@ class TestPEType:
         with pytest.raises(LibraryError):
             PEType(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field", ["width_mm", "height_mm", "speed", "power_scale", "idle_power", "cost"]
+    )
+    def test_non_finite_fields_rejected_by_name(self, field, value):
+        kwargs = {"name": "x", "width_mm": 6.0, "height_mm": 6.0}
+        kwargs[field] = value
+        with pytest.raises(LibraryError) as excinfo:
+            PEType(**kwargs)
+        message = str(excinfo.value)
+        assert message.startswith(f"PE type 'x': {field} must be ")
+        assert message.endswith(f", got {value}")
+
     def test_empty_name_rejected(self):
         with pytest.raises(LibraryError):
             PEType("", 6.0, 6.0)

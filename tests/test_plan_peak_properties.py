@@ -1,11 +1,12 @@
 """The one block-model builder against an edge-by-edge network.
 
-``build_block_network`` assembles its network in one index-keyed pass.
-Its oracle is the node-by-node build through ``ThermalNetwork.add_node``
-and ``connect`` from the same ``_edge_conductances`` map: over random
-slicing plans and packages the node order, the capacitances and the G
-matrix must match bit for bit, and so must a model's peak.  Plans and
-powers the model refuses raise pinned errors.
+``build_block_network`` assembles its network in one index-keyed pass
+over the plan's columns.  Its oracle is the node-by-node build through
+``ThermalNetwork.add_node`` and ``connect`` from the block-by-block edge
+map of ``tests/floorplan_oracle.py``: over random slicing plans and
+packages, and over every plan a thermal GA scores, the node order, the
+capacitances and the G matrix must match bit for bit, and so must a
+model's peak.  Plans and powers the model refuses raise pinned errors.
 
 The module keeps the name it had when it pinned the GA's plan→peak
 kernel against the model; the one builder replaced that kernel, and its
@@ -23,6 +24,10 @@ from hypothesis import strategies as st
 from repro.errors import FloorplanError, ReproError, ThermalError
 from repro.floorplan.geometry import Floorplan
 from repro.floorplan.slicing import PolishExpression
+from repro.floorplan.genetic import GeneticConfig, evolve_floorplan
+from repro.floorplan.objectives import thermal_objective
+from repro.library.pe import Architecture
+from repro.library.presets import default_catalogue
 from repro.thermal.blockmodel import (
     SINK_NODE, _edge_conductances, build_block_network, spreader_node,
 )
@@ -31,6 +36,8 @@ from repro.thermal.network import ThermalNetwork
 from repro.thermal.package import PackageConfig, default_package
 from repro.thermal.steady import _cho_solve, _cholesky
 from repro.units import MM, mm2_to_m2
+
+from floorplan_oracle import OracleFloorplan, oracle_edge_conductances
 
 PACKAGES = [
     default_package(),
@@ -48,7 +55,9 @@ PACKAGES = [
 
 
 def edge_by_edge(plan, package):
-    """The block network built node by node and edge by edge."""
+    """The block network built node by node and edge by edge, from the
+    block-object edge map."""
+    plan = OracleFloorplan(plan)
     network = ThermalNetwork(package.ambient_c)
     spreader_area_m2 = package.spreader_side_m**2
     spare = max(0.1, 1.0 - min(1.0, mm2_to_m2(plan.block_area) / spreader_area_m2))
@@ -68,7 +77,7 @@ def edge_by_edge(plan, package):
         + package.spreader_capacitance() * spare,
         ambient_conductance=1.0 / package.convection_resistance,
     )
-    for (name_a, name_b), conductance in _edge_conductances(plan, package).items():
+    for (name_a, name_b), conductance in oracle_edge_conductances(plan, package).items():
         network.connect(name_a, name_b, conductance)
     network.check_grounded()
     return network
@@ -120,6 +129,49 @@ def test_one_pass_build_matches_edge_by_edge_bit_for_bit(plan, package, data):
         rise = _cho_solve(factor, reference.power_vector(powers))
         expected = max(package.ambient_c + value for value in rise[:count])
         assert model.peak_temperature(powers) == expected
+
+
+def ga_plans(seed, count):
+    """Every plan a small thermal GA scores, over *count* catalogue PEs."""
+    catalogue = default_catalogue()
+    architecture = Architecture(f"ga{seed}")
+    rng = random.Random(seed)
+    for _ in range(count):
+        architecture.add_instance(rng.choice(catalogue))
+    plans = []
+
+    def record(plan):
+        plans.append(plan)
+        return 0.0
+
+    evolve_floorplan(
+        architecture,
+        objective=thermal_objective(record),
+        config=GeneticConfig(population_size=8, generations=4),
+        seed=seed,
+    )
+    return plans
+
+
+@pytest.mark.parametrize("package", PACKAGES, ids=["default", "perturbed"])
+@pytest.mark.parametrize("seed, count", [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
+def test_ga_plans_build_g_bit_for_bit(seed, count, package):
+    plans = ga_plans(seed, count)
+    assert len(plans) > 8
+    for plan in plans:
+        network = build_block_network(plan, package)
+        reference = edge_by_edge(plan, package)
+        assert network.node_names() == reference.node_names()
+        assert np.array_equal(
+            network.capacitance_vector(), reference.capacitance_vector()
+        )
+        assert np.array_equal(
+            network.conductance_matrix(), reference.conductance_matrix()
+        )
+        # DSE diffs the name-keyed map: same keys, order and floats
+        assert list(_edge_conductances(plan, package).items()) == list(
+            oracle_edge_conductances(OracleFloorplan(plan), package).items()
+        )
 
 
 def _outcome(call):
